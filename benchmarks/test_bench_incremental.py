@@ -1,24 +1,17 @@
 """Microbenchmark for the incremental constraint IR (PR 9).
 
 The scoped-delta simplifier's claim is that pushing a small delta onto a
-large simplified base costs time proportional to the *delta*, while the
-rebuild-per-scope strategy re-simplifies the whole flattened system each
-time.  The first pair of benchmarks measures exactly that on a growing
-scope stack; the second pair measures the end-to-end effect on the
-refinement loop it was built for (StrongConsensus on a protocol with a
-non-trivial pattern enumeration).
+large simplified base costs time proportional to the *delta*, while
+re-simplifying the whole flattened system per scope grows with the stack.
+The pair of benchmarks measures exactly that on a growing scope stack.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.constraints.incremental import ScopedSimplifier
 from repro.constraints.ir import ConstraintSystem
 from repro.constraints.simplify import simplify_system
-from repro.protocols.library import flock_of_birds_protocol, threshold_protocol
 from repro.smtlite.terms import LinearExpr
-from repro.verification.strong_consensus import check_strong_consensus_impl
 
 from .conftest import run_once
 
@@ -59,7 +52,7 @@ def _incremental_stack() -> int:
 
 
 def _from_scratch_stack() -> int:
-    """The pre-PR-9 shape: re-simplify the whole flattened system per scope."""
+    """The rebuild shape: re-simplify the whole flattened system per scope."""
     constraints = 0
     deltas: list = []
     for step in range(SCOPES):
@@ -85,17 +78,3 @@ def test_from_scratch_simplification_on_growing_stack(benchmark):
     # compresses it well below the raw count — the point here is the *time*
     # of re-simplifying the whole flattened system per scope.
     assert 0 < constraints <= BASE_CONSTRAINTS + SCOPES * DELTA_PER_SCOPE
-
-
-@pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "rebuild"])
-def test_strong_consensus_flock_incremental_vs_rebuild(benchmark, incremental):
-    protocol = flock_of_birds_protocol(4)
-    result = run_once(benchmark, check_strong_consensus_impl, protocol, incremental=incremental)
-    assert result.holds
-
-
-@pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "rebuild"])
-def test_strong_consensus_threshold_incremental_vs_rebuild(benchmark, incremental):
-    protocol = threshold_protocol([1, -1], 0)
-    result = run_once(benchmark, check_strong_consensus_impl, protocol, incremental=incremental)
-    assert result.holds

@@ -11,15 +11,18 @@ snapshots to track the performance trajectory.
 
 Usage::
 
-    PYTHONPATH=src python scripts/bench.py            # default subset, serial
-    PYTHONPATH=src python scripts/bench.py --jobs 4   # parallel engine, 4 workers
+    PYTHONPATH=src python scripts/bench.py            # default subset
+    PYTHONPATH=src python scripts/bench.py --jobs 4   # 4 dispatchers in the network block
     PYTHONPATH=src python scripts/bench.py --large    # adds the heavier rows
     PYTHONPATH=src python scripts/bench.py --cache-dir .repro-cache  # result cache
     PYTHONPATH=src python scripts/bench.py --output out.json
 
-The output path is picked automatically (the next free ``BENCH_<n>.json``);
-``--jobs`` and the engine result-cache traffic are recorded in the snapshot,
-so serial vs. parallel and cold vs. warm-cache runs can be diffed directly.
+The output path is picked automatically (the next free ``BENCH_<n>.json``).
+Every row is one ``Verifier.check``, which always runs serially: ``--jobs``
+only sizes batch pools, so here it is recorded in the options snapshot and
+sets the dispatcher threads of the network-serving block.  The engine
+result-cache traffic is recorded too, so cold vs. warm-cache runs can be
+diffed directly.
 """
 
 from __future__ import annotations
@@ -187,7 +190,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--large", action="store_true", help="include the heavier instances")
     parser.add_argument("--output", type=Path, default=None, help="output path (default: BENCH_<n>.json)")
     parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for the verification engine"
+        "--jobs",
+        type=int,
+        default=1,
+        help=(
+            "options.jobs (protocols verified in parallel by a batch); the rows are "
+            "single checks and run serially, the network block runs max(2, N) dispatchers"
+        ),
     )
     parser.add_argument(
         "--backend",
@@ -258,9 +267,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # Incremental-IR counters accumulated across the whole suite: scope
     # traffic, delta-simplification savings, base-level cut promotions and
-    # learned-core retention.  A snapshot with incrementality disabled
-    # (REPRO_INCREMENTAL=0) records all-zero scope counters, so the diff
-    # shows exactly what the scoped-delta machinery did.
+    # learned-core retention — what the scoped-delta machinery did.
     from repro.constraints.incremental import incremental_statistics
 
     # The process-global metrics registry, snapshotted once at the end:

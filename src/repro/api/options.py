@@ -35,13 +35,6 @@ def _default_backend() -> str:
     return resolve_backend_name(None)
 
 
-def _default_incremental() -> bool:
-    """The incremental-IR default, from ``REPRO_INCREMENTAL`` (on unless 0)."""
-    from repro.constraints.incremental import incremental_enabled
-
-    return incremental_enabled()
-
-
 def _default_retry():
     """The service-tier retry/timeout policy (see :mod:`repro.engine.retry`).
 
@@ -89,14 +82,9 @@ class VerificationOptions:
     explicit_max_configurations:
         Reachability-graph size bound of the explicit-state baseline.
     jobs:
-        Worker processes for the parallel engine (1 = serial).
-    incremental:
-        Use the incremental constraint IR (scoped deltas, base-level cut
-        promotion, delta-aware simplification) in the CEGAR loops.  Defaults
-        to the ``REPRO_INCREMENTAL`` environment variable (on unless set to
-        ``0``).  Verdicts are identical either way (asserted by the backend
-        parity tests), so — like ``jobs`` — the flag is execution-only and
-        excluded from cache keys.
+        Worker processes of a batch (``check_many``, batch service jobs):
+        how many protocols are verified in parallel, one per worker.  A
+        single check always runs serially in the calling process.
     retry:
         A :class:`~repro.engine.retry.RetryPolicy`: how lost subproblems
         (worker deaths, per-subproblem deadlines) are retried and what the
@@ -108,8 +96,9 @@ class VerificationOptions:
         ``check_many`` (``None`` disables caching).
     trace:
         Collect hierarchical trace spans (job → property → CEGAR iteration
-        → subproblem → solver check) and embed them under
-        ``report.statistics["trace"]``; the CLI ``--trace out.json`` flag
+        → solver check) and embed them under ``report.statistics["trace"]``
+        (a batch embeds one tree, batch → engine wave → subproblem → job,
+        under ``batch.statistics["trace"]``); the CLI ``--trace out.json`` flag
         turns them into a Chrome-trace file.  Execution-only — a traced run
         returns the same verdicts and artifacts, so the flag is excluded
         from cache keys like ``jobs``.
@@ -132,7 +121,6 @@ class VerificationOptions:
     explicit_max_size: int = 4
     explicit_max_configurations: int = 200_000
     jobs: int = 1
-    incremental: bool = field(default_factory=_default_incremental)
     retry: object = field(default_factory=_default_retry)
     cache_dir: str | None = None
     trace: bool = False
@@ -176,8 +164,6 @@ class VerificationOptions:
             )
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if not isinstance(self.incremental, bool):
-            raise ValueError(f"incremental must be a bool, got {self.incremental!r}")
         if not isinstance(self.trace, bool):
             raise ValueError(f"trace must be a bool, got {self.trace!r}")
         if not isinstance(self.profile, bool):
@@ -211,7 +197,6 @@ class VerificationOptions:
         """
         snapshot = self.to_dict()
         snapshot.pop("jobs")
-        snapshot.pop("incremental")
         snapshot.pop("retry")
         snapshot.pop("cache_dir")
         snapshot.pop("trace")

@@ -24,11 +24,12 @@ from repro.io.serialization import encode_multiset
 class PropertyChecker:
     """Interface of a pluggable property.
 
-    Subclasses set :attr:`name` and implement :meth:`check`.  ``engine`` is
-    a running :class:`~repro.engine.scheduler.VerificationEngine` (or
-    ``None`` for serial checks); ``predicate`` is only meaningful for
-    properties that compare the protocol against a predicate and defaults
-    to the protocol's documented ``metadata["predicate"]``.
+    Subclasses set :attr:`name` and implement :meth:`check`.  ``predicate``
+    is only meaningful for properties that compare the protocol against a
+    predicate and defaults to the protocol's documented
+    ``metadata["predicate"]``; ``context`` is the session's shared
+    :class:`~repro.constraints.context.AnalysisContext` for the protocol.
+    A check always runs serially in the calling process.
     """
 
     name: str = "?"
@@ -38,7 +39,6 @@ class PropertyChecker:
         protocol,
         options: VerificationOptions,
         *,
-        engine=None,
         predicate=None,
         context=None,
     ) -> PropertyResult:
@@ -113,7 +113,7 @@ def ws3_result(result) -> PropertyResult:
 class LayeredTerminationChecker(PropertyChecker):
     name = "layered_termination"
 
-    def check(self, protocol, options, *, engine=None, predicate=None, context=None) -> PropertyResult:
+    def check(self, protocol, options, *, predicate=None, context=None) -> PropertyResult:
         from repro.verification.layered_termination import check_layered_termination_impl
 
         result = check_layered_termination_impl(
@@ -122,10 +122,8 @@ class LayeredTerminationChecker(PropertyChecker):
             max_layers=options.max_layers,
             materialize_rankings=options.materialize_rankings,
             theory=options.theory,
-            engine=engine,
             backend=options.backend,
             context=context,
-            incremental=options.incremental,
         )
         return layered_termination_result(result)
 
@@ -133,7 +131,7 @@ class LayeredTerminationChecker(PropertyChecker):
 class StrongConsensusChecker(PropertyChecker):
     name = "strong_consensus"
 
-    def check(self, protocol, options, *, engine=None, predicate=None, context=None) -> PropertyResult:
+    def check(self, protocol, options, *, predicate=None, context=None) -> PropertyResult:
         from repro.verification.strong_consensus import check_strong_consensus_impl
 
         result = check_strong_consensus_impl(
@@ -142,10 +140,8 @@ class StrongConsensusChecker(PropertyChecker):
             strategy=options.consensus_strategy,
             max_refinements=options.max_refinements,
             max_pattern_pairs=options.max_pattern_pairs,
-            engine=engine,
             backend=options.backend,
             context=context,
-            incremental=options.incremental,
         )
         return strong_consensus_result(result)
 
@@ -153,7 +149,7 @@ class StrongConsensusChecker(PropertyChecker):
 class WS3Checker(PropertyChecker):
     name = "ws3"
 
-    def check(self, protocol, options, *, engine=None, predicate=None, context=None) -> PropertyResult:
+    def check(self, protocol, options, *, predicate=None, context=None) -> PropertyResult:
         from repro.verification.ws3 import verify_ws3_impl
 
         result = verify_ws3_impl(
@@ -166,10 +162,8 @@ class WS3Checker(PropertyChecker):
             consensus_strategy=options.consensus_strategy,
             max_refinements=options.max_refinements,
             max_pattern_pairs=options.max_pattern_pairs,
-            engine=engine,
             backend=options.backend,
             context=context,
-            incremental=options.incremental,
         )
         return ws3_result(result)
 
@@ -177,7 +171,7 @@ class WS3Checker(PropertyChecker):
 class CorrectnessChecker(PropertyChecker):
     name = "correctness"
 
-    def check(self, protocol, options, *, engine=None, predicate=None, context=None) -> PropertyResult:
+    def check(self, protocol, options, *, predicate=None, context=None) -> PropertyResult:
         from repro.verification.correctness import check_correctness_impl
 
         if predicate is None:
@@ -193,10 +187,8 @@ class CorrectnessChecker(PropertyChecker):
             predicate,
             theory=options.theory,
             max_refinements=options.max_refinements,
-            engine=engine,
             backend=options.backend,
             context=context,
-            incremental=options.incremental,
         )
         return correctness_result(result, predicate)
 
@@ -206,7 +198,7 @@ class ExplicitChecker(PropertyChecker):
 
     name = "explicit"
 
-    def check(self, protocol, options, *, engine=None, predicate=None, context=None) -> PropertyResult:
+    def check(self, protocol, options, *, predicate=None, context=None) -> PropertyResult:
         from repro.verification.explicit import verify_inputs_up_to
 
         sweep = verify_inputs_up_to(

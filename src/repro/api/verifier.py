@@ -7,8 +7,9 @@ bundle and exposes the whole pipeline of the paper through two methods::
         report = verifier.check(protocol, properties=["ws3", "correctness"])
         batch = verifier.check_many(protocols)
 
-``check`` returns a lossless :class:`~repro.api.report.VerificationReport`;
-``check_many`` fans whole protocols over the worker pool and serves repeat
+``check`` returns a lossless :class:`~repro.api.report.VerificationReport`
+and always runs serially, one refinement loop per property; ``check_many``
+fans whole protocols over ``jobs`` worker processes and serves repeat
 instances from the content-addressed result cache.
 
 Since the service layer landed, both methods are thin **synchronous facades**
@@ -47,10 +48,10 @@ class Verifier:
         ``Verifier(jobs=4, theory="exact")`` works without building the
         options object by hand.
     engine:
-        An existing :class:`~repro.engine.scheduler.VerificationEngine` to
-        schedule on (left running on :meth:`close`); mutually exclusive
-        with ``jobs > 1`` in the options, which makes the session create —
-        and own — a pool lazily on first use.
+        An existing :class:`~repro.engine.scheduler.VerificationEngine` for
+        :meth:`check_many` (left running on :meth:`close`); mutually
+        exclusive with ``jobs > 1`` in the options, which makes the session
+        create — and own — a pool lazily on the first batch.
     cache:
         An existing :class:`~repro.engine.cache.ResultCache`; by default a
         cache is opened at ``options.cache_dir`` (if set) on first
@@ -103,7 +104,11 @@ class Verifier:
 
     @property
     def engine(self):
-        """The session's engine (``None`` until a parallel check runs)."""
+        """The session's engine (``None`` until a batch fans out).
+
+        :meth:`check` never starts a pool, whatever ``jobs`` says: a single
+        check runs serially in the session's dispatcher thread.
+        """
         return self._service.engine
 
     @property

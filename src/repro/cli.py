@@ -108,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="verify everything, touching no cache"
     )
     _add_verifier_options(batch_parser)
+    _add_jobs_option(batch_parser)
     _add_progress_options(batch_parser)
     _add_observability_options(batch_parser)
     batch_parser.add_argument("--json", action="store_true", help="print the verdicts as JSON")
@@ -117,6 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the JSON-lines verification daemon on stdin/stdout",
     )
     _add_verifier_options(serve_parser)
+    _add_jobs_option(serve_parser)
     serve_parser.add_argument(
         "--workers",
         type=_positive_int,
@@ -327,21 +329,6 @@ def _add_verifier_options(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        help="worker processes for the parallel verification engine (default: 1, serial)",
-    )
-    parser.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help=(
-            "disable the incremental constraint IR (scoped deltas and base-level "
-            "cut reuse in the CEGAR loops); same verdicts, rebuild-per-scope "
-            "performance (also: REPRO_INCREMENTAL=0)"
-        ),
-    )
-    parser.add_argument(
         "--property",
         dest="properties",
         action="append",
@@ -375,6 +362,19 @@ def _add_verifier_options(parser: argparse.ArgumentParser) -> None:
         help=(
             "wall-clock budget per verification job; when it runs out the "
             "unfinished properties are reported as PARTIAL"
+        ),
+    )
+
+
+def _add_jobs_option(parser: argparse.ArgumentParser) -> None:
+    """``--jobs`` for the commands that verify many protocols (batch, serve)."""
+    parser.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help=(
+            "how many protocols are verified in parallel, one per worker process "
+            "(default: 1, serial); each protocol's check itself is always serial"
         ),
     )
 
@@ -440,11 +440,9 @@ def _parse_input(text: str) -> dict:
 
 
 def _options_from_args(args) -> VerificationOptions:
-    overrides = {"strategy": args.strategy, "theory": args.theory, "jobs": args.jobs}
+    overrides = {"strategy": args.strategy, "theory": args.theory, "jobs": getattr(args, "jobs", 1)}
     if args.backend is not None:
         overrides["backend"] = args.backend
-    if getattr(args, "no_incremental", False):
-        overrides["incremental"] = False
     retry_overrides = {}
     if getattr(args, "max_retries", None) is not None:
         retry_overrides["max_retries"] = args.max_retries
@@ -592,11 +590,7 @@ def _run_batch(args) -> int:
             f"{cache_stats['hits']} cache hit(s), jobs={batch.statistics['jobs']}, "
             f"total {batch.statistics['time']:.3f}s"
         )
-    if getattr(args, "trace", None):
-        spans = []
-        for item in batch:
-            spans.extend(item.report.statistics.get("trace") or [])
-        _write_trace(args, spans)
+    _write_trace(args, batch.statistics.get("trace") or [])
     if getattr(args, "profile", False):
         for item in batch:
             if item.report.statistics.get("profile"):

@@ -15,8 +15,7 @@ The layer between the verification procedures and the solvers:
 * :mod:`repro.constraints.direct` — the direct-ILP solving loop;
 * :mod:`repro.constraints.context` — :class:`AnalysisContext`: per-protocol
   structural artifacts (terminal patterns, trap/siphon bases, normal form,
-  U-sets) computed lazily, exactly once, and shared across property checks
-  and engine workers.
+  U-sets) computed lazily, exactly once, and shared across property checks.
 """
 
 from repro.constraints.backends import (

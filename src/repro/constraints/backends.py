@@ -3,7 +3,7 @@
 The verification layer never constructs a concrete solver any more: it asks
 the registry for one (:func:`create_solver`), names travel through
 :class:`~repro.api.options.VerificationOptions` / the CLI ``--backend``
-flag / the engine's subproblem envelopes, and new backends (a z3 adapter,
+flag / the batch engine's option envelopes, and new backends (a z3 adapter,
 say) plug in with :func:`register_backend` without touching a property
 check.
 
@@ -26,8 +26,7 @@ Three backends ship by default:
     the near-conjunctive queries immediately, and anything structurally
     heavier is handed to a persistent DPLL(T) solver.  (The two runners
     share each query sequentially rather than on threads — both are pure
-    Python, so a wall-clock race under the GIL would only add overhead;
-    under the parallel engine each worker process races its own pair.)
+    Python, so a wall-clock race under the GIL would only add overhead.)
 
 Every backend returns objects implementing the :class:`ConstraintSolver`
 protocol, which is exactly the incremental surface the verification layer

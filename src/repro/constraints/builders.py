@@ -15,7 +15,7 @@ and terminal-support-pattern memberships.  This module owns all of them:
 
 Everything here is pure construction: no solver is touched, which is what
 lets the same blocks serve the smtlite DPLL(T) backend, the direct-ILP
-backend and the engine's worker processes.
+backend and every other registered backend.
 """
 
 from __future__ import annotations
@@ -95,9 +95,8 @@ def state_delta_rows(protocol: PopulationProtocol) -> dict:
     by ``repr``, transitions in protocol order) — exactly the sums the state
     equation ``C' = C + Δ·x`` iterates over.  The single source of this
     derivation: both :class:`ConstraintBuilder` and
-    :attr:`repro.constraints.context.AnalysisContext.state_deltas` (which
-    also ships it to engine workers) call here, so the row order can never
-    drift between a hydrated basis and a locally derived one.
+    :attr:`repro.constraints.context.AnalysisContext.state_deltas` call
+    here, so the row order can never drift between the two.
     """
     transitions = list(protocol.transitions)
     return {
@@ -117,7 +116,7 @@ class ConstraintBuilder:
     (:attr:`repro.constraints.context.AnalysisContext.state_deltas`):
     ``state -> ((transition, delta), ...)`` in enumeration order.  When the
     builder comes from a shared analysis context the basis is derived once
-    per protocol (and shipped to engine workers); a standalone builder
+    per protocol; a standalone builder
     derives it lazily on first use.
     """
 
@@ -328,7 +327,7 @@ class ConstraintBuilder:
     ) -> ConstraintSystem:
         """The per-pattern-pair block: memberships, outputs, seeded refinements."""
         c0, c1, c2, x1, x2 = variables
-        system = ConstraintSystem("consensus-pair")
+        system = ConstraintSystem("pattern-pair")
         system.add(self.pattern(c1, pattern_true))
         system.add(self.pattern(c2, pattern_false))
         system.add(self.has_output(c1, 1))
@@ -386,7 +385,7 @@ class ConstraintBuilder:
         fresh existential variables) and merged by the caller.
         """
         _input_vars, c0, c1, x1 = variables
-        system = ConstraintSystem("correctness-pattern")
+        system = ConstraintSystem("correctness-case")
         system.add(self.pattern(c1, pattern))
         # Wrong output: some populated state disagrees with the expected value.
         system.add(self.has_output(c1, 1 - expected_output))

@@ -7,8 +7,7 @@ trap/siphon fixed points, the enabling graph and Lemma 22 witness sets of
 the partition search, the underlying Petri net and its normal form.
 Before this module each check re-derived what it needed; an
 :class:`AnalysisContext` computes each artifact lazily, memoizes it, and is
-shared across all property checks of a :class:`repro.api.Verifier` session
-(and, through the engine's subproblem envelopes, with worker processes).
+shared across all property checks of a :class:`repro.api.Verifier` session.
 
 ``computes`` counts how often each artifact was actually *computed* (not
 served from the memo) — the session-sharing guarantee "at most once per
@@ -35,8 +34,6 @@ class AnalysisContext:
         self._memo: dict[str, object] = {}
         #: artifact name -> number of times it was computed from scratch.
         self.computes: dict[str, int] = {}
-        #: artifact name -> number of times it arrived pre-computed (engine).
-        self.hydrated: dict[str, int] = {}
 
     def _get(self, name: str, compute: Callable[[], object]):
         if name not in self._memo:
@@ -133,7 +130,7 @@ class AnalysisContext:
         order — exactly the sums the flow equations ``C' = C + Δ·x`` (the
         state-equation over-approximation of reachability) iterate over.
         The :class:`ConstraintBuilder` consumes this instead of re-deriving
-        the rows per property check, and the engine ships it to workers.
+        the rows per property check.
         Derived by :func:`repro.constraints.builders.state_delta_rows`, the
         one source of the row ordering.
         """
@@ -160,7 +157,7 @@ class AnalysisContext:
 
     @property
     def protocol_key(self) -> str:
-        """The content-addressed protocol hash (engine cache key component)."""
+        """The content-addressed protocol hash (result-cache key component)."""
 
         def compute():
             from repro.engine.cache import protocol_content_hash
@@ -172,29 +169,4 @@ class AnalysisContext:
     def seed_protocol_key(self, key: str) -> "AnalysisContext":
         """Install an already-known content hash (avoids recomputing it)."""
         self._memo.setdefault("protocol_key", key)
-        return self
-
-    # ------------------------------------------------------------------
-    # Crossing process boundaries (engine subproblem envelopes)
-    # ------------------------------------------------------------------
-
-    #: Artifacts cheap to pickle and worth shipping to worker processes.
-    #: (States, transitions and Fractions all cross the wire already; the
-    #: trap/siphon basis is cheaper to recompute than to ship.)
-    PORTABLE = ("terminal_patterns", "state_deltas", "place_invariants")
-
-    def export_data(self) -> dict:
-        """The picklable, already-computed artifacts for a subproblem envelope.
-
-        Only artifacts that have actually been computed are shipped — the
-        export never forces a computation the coordinator did not need.
-        """
-        return {name: self._memo[name] for name in self.PORTABLE if name in self._memo}
-
-    def hydrate(self, data: dict | None) -> "AnalysisContext":
-        """Seed the memo with artifacts computed elsewhere (returns self)."""
-        for name, value in (data or {}).items():
-            if name in self.PORTABLE and name not in self._memo:
-                self._memo[name] = value
-                self.hydrated[name] = self.hydrated.get(name, 0) + 1
         return self

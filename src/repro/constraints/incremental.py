@@ -8,10 +8,6 @@ scratch — quadratic in the number of refinements, and the dominant cost of
 the hot bench rows.  This module provides the pieces that make scopes true
 deltas:
 
-* :func:`incremental_enabled` / :func:`resolve_incremental` — the process
-  default (the ``REPRO_INCREMENTAL`` environment variable; ``0`` restores
-  the rebuild-per-scope behaviour) and the per-call override threaded from
-  :class:`repro.api.options.VerificationOptions`;
 * :class:`SimplifyIndex` — a persistent duplicate/subsumption index with an
   undo trail, so delta constraints are checked against everything already
   asserted in O(1) instead of a full re-pass over the whole system;
@@ -38,7 +34,6 @@ Soundness invariants (asserted by the property-based tests):
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.constraints.ir import ConstraintSystem
@@ -46,20 +41,6 @@ from repro.constraints.simplify import SimplifyStats, _single_variable_bound, fo
 from repro.constraints.simplify_cache import simplify_system_cached
 from repro.obs.metrics import REGISTRY
 from repro.smtlite.formula import And, Atom, BoolConst, Formula
-
-#: The escape hatch: ``REPRO_INCREMENTAL=0`` restores rebuild-per-scope.
-INCREMENTAL_ENV = "REPRO_INCREMENTAL"
-
-
-def incremental_enabled() -> bool:
-    """The process-wide default, from ``REPRO_INCREMENTAL`` (on unless ``0``)."""
-    return os.environ.get(INCREMENTAL_ENV, "1").strip().lower() not in ("0", "false", "off")
-
-
-def resolve_incremental(flag: bool | None) -> bool:
-    """A per-call override (``None`` defers to the environment default)."""
-    return incremental_enabled() if flag is None else bool(flag)
-
 
 # ----------------------------------------------------------------------
 # Process-wide incremental counters (one registry metric, event-labelled)
@@ -113,7 +94,6 @@ def incremental_statistics() -> dict:
     snapshot["core_retention_rate"] = (
         round(snapshot["cores_retained_across_pops"] / learned, 4) if learned else None
     )
-    snapshot["enabled_default"] = incremental_enabled()
     return snapshot
 
 

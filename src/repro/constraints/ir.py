@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 
-from repro.smtlite.formula import Formula, conjunction
+from repro.smtlite.formula import FALSE, Formula, conjunction
 from repro.smtlite.terms import LinearExpr
 
 Bound = tuple[int | None, int | None]
@@ -250,11 +250,18 @@ class ConstraintSystem:
         solver's implicit domain already, and explicitly declaring a
         variable makes the solver mention it in every theory query — extra
         columns that perturb (without changing) the answers.
+
+        An empty domain (``lower > upper``, e.g. after :meth:`tighten`) is
+        asserted as FALSE: a solver only sees a variable's bounds through
+        the constraints that mention it, so an otherwise unconstrained
+        variable would hide the contradiction.
         """
         for variable, (lower, upper) in self.bounds.items():
             if (lower, upper) == DEFAULT_BOUND:
                 continue
             solver.int_var(variable, lower=lower, upper=upper)
+            if lower is not None and upper is not None and lower > upper:
+                solver.add(FALSE)
         for formula in self.constraints:
             solver.add(formula)
 

@@ -1,19 +1,16 @@
-"""Parallel, cache-aware verification engine.
+"""Parallel, cache-aware batch verification engine.
 
-The verification layer decomposes every WS³ check into many independent
-subproblems — terminal-pattern pairs for StrongConsensus/correctness,
-partition-search strategies for LayeredTermination, whole protocols for
-batch sweeps.  This package schedules those subproblems over a pool of
-worker processes:
+Each property of one protocol is checked by one sequential refinement loop
+in the calling process; parallelism is across protocols.  A batch sends one
+``check-protocol`` subproblem per protocol to a pool of worker processes:
 
 * :mod:`repro.engine.subproblem` — the picklable :class:`Subproblem` /
-  :class:`SubproblemResult` envelope plus portable encodings of refinement
-  steps and partitions;
+  :class:`SubproblemResult` envelope plus the portable artifact codecs;
 * :mod:`repro.engine.worker` — the worker-process entry point (per-process
-  protocol/solver caches, kind dispatch);
-* :mod:`repro.engine.scheduler` — the process-pool scheduler: deterministic
-  wave execution, cross-worker sharing of learned trap/siphon refinements
-  via the coordinator, early cancellation, and a serial in-process fallback;
+  protocol cache, kind dispatch);
+* :mod:`repro.engine.scheduler` — the process-pool scheduler: wave
+  execution with results in input order, worker-death recovery, and a
+  serial in-process fallback;
 * :mod:`repro.engine.retry` — the :class:`RetryPolicy` knobs (retries,
   exponential backoff, per-subproblem and per-job deadlines) that make wave
   execution survive worker deaths and hung solvers;

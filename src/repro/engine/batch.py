@@ -157,12 +157,12 @@ def run_batch(
 ) -> BatchResult:
     """Verify many protocols, fanning out over worker processes.
 
-    ``check_one(protocol, engine) -> VerificationReport`` is the serial
-    fallback used when the batch cannot fan out across protocols (no
-    parallel engine, or a single pending protocol that gets the
-    *within*-protocol parallelism instead); ``Verifier.check_many`` wires it
-    to its own ``check``.  Protocols appearing more than once (by content
-    hash) are verified once; later occurrences reuse the verdict.
+    ``check_one(protocol) -> VerificationReport`` is the serial path used
+    when the batch cannot fan out across protocols (no parallel engine, or
+    a single pending protocol, which is not worth a worker round trip);
+    ``Verifier.check_many`` wires it to its own ``check``.  Protocols
+    appearing more than once (by content hash) are verified once; later
+    occurrences reuse the verdict.
     """
     if check_one is None:
         raise ValueError("run_batch requires a check_one callback (see Verifier.check_many)")
@@ -223,12 +223,9 @@ def run_batch(
             # Across-protocol fan-out: one check-protocol subproblem each.
             _run_parallel(pending, items, properties, options, engine)
         else:
-            # A single pending protocol gets the within-protocol parallelism
-            # (pattern pairs, strategy portfolio) instead of one lonely
-            # worker; with no engine this is the plain serial loop.
             for index, protocol, content_hash, _key, _predicate in pending:
                 instance_start = time.perf_counter()
-                report = check_one(protocol, engine)
+                report = check_one(protocol)
                 items[index] = BatchItem(
                     index=index,
                     protocol_name=protocol.name,

@@ -12,7 +12,7 @@ verification layer — can then
 * **observe cancellation requests** (:func:`check_cancelled`), raising
   :class:`JobCancelledError` at the cooperative checkpoints: engine wave
   boundaries, per-subproblem steps of the inline path, pattern/strategy
-  iterations of the serial checks.
+  iterations of the property checks.
 
 Because the binding is thread-local, concurrent jobs sharing one engine (and
 one worker pool) cannot observe each other's events or cancellation flags:
@@ -120,7 +120,7 @@ def emit(build_event: Callable[[str], object]) -> None:
 def emit_backend_selected(backend: str, scope: str) -> None:
     """Emit one :class:`~repro.service.events.BackendSelected` per (backend, scope).
 
-    Solver construction happens per pattern pair / per strategy attempt; the
+    Solver construction happens per property check; the
     event stream reports each distinct selection once per job instead of
     once per solver instance.
     """

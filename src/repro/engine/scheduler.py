@@ -2,19 +2,13 @@
 
 The scheduler executes :class:`~repro.engine.subproblem.Subproblem` batches
 ("waves") over a pool of worker processes and returns the results in the
-deterministic input order, independent of completion timing.  Coordinators
-(the verification modules, the batch front end) drive it wave by wave:
-between waves they merge worker discoveries — trap/siphon refinements
-learned while solving one pattern pair seed the CEGAR loops of the next
-wave — and stop dispatching as soon as a decisive result (a SAT
-counterexample, a successful layer partition) arrives, which is the
-engine's early-cancellation policy: queued-but-not-started siblings are
-cancelled, running siblings are awaited (they are wave peers of similar
-cost), and later waves are never dispatched.
+deterministic input order, independent of completion timing.  Its one
+coordinator is the batch front end (:mod:`repro.engine.batch`), which sends
+one ``check-protocol`` subproblem per protocol; each worker verifies its
+protocol serially, so a single property check never fans out.
 
 ``jobs=1`` never creates a pool: subproblems are solved inline in the
-coordinator process, so the serial behaviour (and failure modes) of the
-pre-engine code are preserved exactly.
+coordinator process.
 
 Fault tolerance.  A worker process dying mid-subproblem (OOM kill,
 segfault, ``os._exit``), a subproblem exceeding its per-subproblem deadline
@@ -34,7 +28,7 @@ from __future__ import annotations
 import concurrent.futures
 import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from repro.engine import monitor
 from repro.engine.retry import NO_RETRY, RetryPolicy
@@ -70,7 +64,11 @@ _SUBPROBLEM_SECONDS = REGISTRY.histogram(
 #: "7": observability — traced runs embed the span tree in
 #: ``report.statistics["trace"]`` and subproblem envelopes carry worker
 #: spans, so report payloads from older engines differ in shape.
-ENGINE_VERSION = "7"
+#: "8": one execution path per property — the intra-protocol fan-out and
+#: the rebuild-per-scope path are gone, so entries a parallel or
+#: non-incremental run stored (with their different refinement trails and
+#: statistics) must not be served.
+ENGINE_VERSION = "8"
 
 
 class EngineError(RuntimeError):
@@ -80,13 +78,12 @@ class EngineError(RuntimeError):
 class _RoundOutcome:
     """What one dispatch round of a wave left behind."""
 
-    __slots__ = ("lost", "reasons", "culprits", "stopping")
+    __slots__ = ("lost", "reasons", "culprits")
 
     def __init__(self):
         self.lost: list[int] = []
         self.reasons: dict[int, str] = {}
         self.culprits: set[int] = set()
-        self.stopping = False
 
     def mark_lost(self, position: int, reason: str, culprit: bool) -> None:
         self.lost.append(position)
@@ -133,8 +130,6 @@ class VerificationEngine:
         self.statistics = {
             "waves": 0,
             "subproblems": 0,
-            "cancelled": 0,
-            "failed_after_stop": 0,
             "retries": 0,
             "worker_deaths": 0,
             "timeouts": 0,
@@ -188,23 +183,8 @@ class VerificationEngine:
     # Execution
     # ------------------------------------------------------------------
 
-    def run_wave(
-        self,
-        subproblems: Sequence[Subproblem],
-        stop_on: Callable[[SubproblemResult], bool] | None = None,
-    ) -> list[SubproblemResult | None]:
-        """Solve one wave of subproblems; results are in input order.
-
-        With ``stop_on``, dispatch is cut short once a decisive result is
-        seen: futures that have not started yet are cancelled and their
-        slots are ``None`` (already-running wave peers still complete and
-        are reported).  Determinism note: coordinators must not let the
-        *content* of later waves depend on which same-wave peers finished
-        before the decisive one — the two parallel consumers in the
-        verification layer satisfy this by construction (StrongConsensus
-        falls back to a serial re-run on SAT; the strategy portfolio ranks
-        completed results by priority).
-        """
+    def run_wave(self, subproblems: Sequence[Subproblem]) -> list[SubproblemResult]:
+        """Solve one wave of subproblems; results are in input order."""
         if not subproblems:
             return []
         # Wave boundary: the one place the engine honours cooperative job
@@ -226,16 +206,13 @@ class VerificationEngine:
             for subproblem in subproblems:
                 subproblem.params.setdefault("trace", True)
         with trace.span("engine.wave", index=wave, size=len(subproblems)):
-            return self._run_wave_body(subproblems, stop_on, wave)
+            return self._run_wave_body(subproblems, wave)
 
     def _run_wave_body(
-        self,
-        subproblems: Sequence[Subproblem],
-        stop_on: Callable[[SubproblemResult], bool] | None,
-        wave: int,
-    ) -> list[SubproblemResult | None]:
+        self, subproblems: Sequence[Subproblem], wave: int
+    ) -> list[SubproblemResult]:
         if not self.parallel:
-            return self._run_inline(subproblems, stop_on, wave)
+            return self._run_inline(subproblems, wave)
 
         results: list[SubproblemResult | None] = [None] * len(subproblems)
         outstanding = list(range(len(subproblems)))
@@ -244,14 +221,8 @@ class VerificationEngine:
             None if self.wave_timeout is None else time.monotonic() + self.wave_timeout
         )
         while True:
-            outcome = self._run_round(subproblems, outstanding, results, stop_on, wave, wave_deadline)
+            outcome = self._run_round(subproblems, outstanding, results, wave, wave_deadline)
             if not outcome.lost:
-                return results
-            if outcome.stopping:
-                # A decisive result was already collected; the lost peers sit
-                # past the serial stopping point, so they are dropped exactly
-                # like any other post-decision failure.
-                self._count("failed_after_stop", len(outcome.lost))
                 return results
             # Only the culprit of a teardown burns retry budget; peers that
             # were merely caught in the pool teardown are resubmitted free
@@ -292,7 +263,6 @@ class VerificationEngine:
         subproblems: Sequence[Subproblem],
         positions: Sequence[int],
         results: list,
-        stop_on: Callable[[SubproblemResult], bool] | None,
         wave: int,
         wave_deadline: float | None,
     ) -> _RoundOutcome:
@@ -338,10 +308,6 @@ class VerificationEngine:
                             position, teardown_reason.format(label=label), culprit=False
                         )
                     continue
-                if outcome.stopping and not future.running() and future.cancel():
-                    self._count("cancelled")
-                    pending.pop(position, None)
-                    continue
                 deadline = wave_deadline
                 if subproblem_timeout is not None:
                     own_deadline = dispatched_at + subproblem_timeout
@@ -350,29 +316,20 @@ class VerificationEngine:
                 try:
                     results[position] = future.result(timeout=remaining)
                 except concurrent.futures.CancelledError:
-                    # The engine only cancels futures itself once ``stopping``
-                    # is set.  Any other cancellation is external — a sibling
-                    # job's failure tore the shared pool down — and a silent
-                    # ``None`` here would read as "skipped after a decisive
-                    # result", letting a refinement sweep claim success over
-                    # pairs that were never solved.  The position is lost
-                    # (and, under a retry policy, resubmitted to a fresh pool).
-                    if not outcome.stopping:
-                        self.shutdown()
-                        outcome.mark_lost(
-                            position,
-                            f"{label} was cancelled externally "
-                            "(the shared worker pool was shut down mid-wave)",
-                            culprit=True,
-                        )
-                        pending.pop(position, None)
-                        continue
-                    self._count("cancelled")
+                    # The engine never cancels its own futures, so this is
+                    # external — a sibling job's failure tore the shared pool
+                    # down.  The position is lost (and, under a retry
+                    # policy, resubmitted to a fresh pool).
+                    self.shutdown()
+                    outcome.mark_lost(
+                        position,
+                        f"{label} was cancelled externally "
+                        "(the shared worker pool was shut down mid-wave)",
+                        culprit=True,
+                    )
+                    pending.pop(position, None)
+                    continue
                 except concurrent.futures.TimeoutError as error:
-                    if outcome.stopping:
-                        self._drop_failed_peer(teardown=True)
-                        pending.pop(position, None)
-                        continue
                     self.shutdown(kill=True)
                     pending.pop(position, None)
                     if wave_deadline is not None and time.monotonic() >= wave_deadline:
@@ -391,10 +348,6 @@ class VerificationEngine:
                     )
                     continue
                 except concurrent.futures.process.BrokenProcessPool:
-                    if outcome.stopping:
-                        self._drop_failed_peer(teardown=True)
-                        pending.pop(position, None)
-                        continue
                     self._count("worker_deaths")
                     self.shutdown(kill=True)
                     pending.pop(position, None)
@@ -405,23 +358,11 @@ class VerificationEngine:
                         culprit=True,
                     )
                     continue
-                except Exception:
-                    # A deterministic in-task exception: retrying cannot help,
-                    # so it propagates exactly as in serial order — unless a
-                    # decisive result was already collected, in which case the
-                    # failed peer sits past the serial stopping point and its
-                    # error must not mask the verdict.
-                    if outcome.stopping:
-                        self._drop_failed_peer(teardown=False)
-                        pending.pop(position, None)
-                        continue
-                    raise
+                # Any other exception is a deterministic in-task failure:
+                # retrying cannot help, so it propagates exactly as in serial
+                # order.
                 pending.pop(position, None)
-                result = results[position]
-                if result is not None:
-                    self._emit_completed(subproblems[position], result)
-                if stop_on is not None and result is not None and stop_on(result):
-                    outcome.stopping = True
+                self._emit_completed(subproblems[position], results[position])
         except EngineError:
             self.shutdown()
             raise
@@ -431,37 +372,20 @@ class VerificationEngine:
             raise
         return outcome
 
-    def _drop_failed_peer(self, teardown: bool) -> None:
-        """Discard a wave peer that failed after a decisive result arrived.
-
-        ``teardown`` tears the pool down (dead worker, hung task — it is no
-        longer trustworthy); an ordinary in-task exception leaves the pool
-        usable for the next wave.
-        """
-        self._count("failed_after_stop")
-        if teardown:
-            self.shutdown(kill=True)
-
     def _run_inline(
-        self,
-        subproblems: Sequence[Subproblem],
-        stop_on: Callable[[SubproblemResult], bool] | None,
-        wave: int,
-    ) -> list[SubproblemResult | None]:
+        self, subproblems: Sequence[Subproblem], wave: int
+    ) -> list[SubproblemResult]:
         from repro.engine.worker import solve_subproblem
 
-        results: list[SubproblemResult | None] = [None] * len(subproblems)
+        results: list[SubproblemResult] = []
         for position, subproblem in enumerate(subproblems):
             if position:
                 # Inline, each subproblem is its own wave boundary: serial
                 # jobs observe cancellation between subproblems.
                 monitor.check_cancelled()
             self._emit_dispatched(subproblem, wave)
-            results[position] = solve_subproblem(subproblem)
-            self._emit_completed(subproblem, results[position])
-            if stop_on is not None and stop_on(results[position]):
-                self._count("cancelled", len(subproblems) - position - 1)
-                break
+            results.append(solve_subproblem(subproblem))
+            self._emit_completed(subproblem, results[-1])
         return results
 
     @staticmethod
@@ -481,8 +405,8 @@ class VerificationEngine:
             float(result.statistics.get("time", 0.0)), kind=subproblem.kind
         )
         # Worker-side spans ride home in the result envelope; adopt them
-        # under the coordinator's current span (the CEGAR iteration or
-        # strategy span that dispatched the wave), keeping one rooted tree.
+        # under the coordinator's current span (the ``engine.wave`` span that
+        # dispatched them), keeping one rooted tree.
         if result.spans:
             trace.adopt_spans(result.spans)
         monitor.emit(
@@ -509,80 +433,3 @@ class VerificationEngine:
                 reason=reason,
             )
         )
-
-
-# ----------------------------------------------------------------------
-# Coordination helpers shared by the CEGAR-style parallel checks
-# ----------------------------------------------------------------------
-
-
-def wave_plan(total: int, jobs: int) -> list[tuple[int, int]]:
-    """Deterministic wave boundaries: a warm-up wave of one, then ``jobs``.
-
-    The first subproblem runs alone because it does the bulk of the
-    trap/siphon discovery (exactly as in the serial sweep); every later
-    subproblem is then seeded with those refinements instead of
-    rediscovering them concurrently, which both avoids duplicated work
-    across workers and keeps the merged refinement list essentially the
-    serial one.
-    """
-    if total <= 0:
-        return []
-    plan = [(0, 1)]
-    start = 1
-    while start < total:
-        end = min(start + max(jobs, 1), total)
-        plan.append((start, end))
-        start = end
-    return plan
-
-
-def run_refinement_sweep(
-    engine: VerificationEngine,
-    total: int,
-    build_subproblems: Callable[[int, int, list], Sequence[Subproblem]],
-    statistics: dict,
-) -> tuple[bool, list]:
-    """Drive a refinement-sharing sweep over ``total`` CEGAR subproblems.
-
-    ``build_subproblems(start, end, seed_refinements)`` packages one wave of
-    the deterministic enumeration.  Workers report the trap/siphon steps
-    they discovered; the coordinator merges them in subproblem order
-    (deduplicated on ``(kind, states)``) and seeds the next wave with the
-    union, so learned refinements cross worker boundaries.  Dispatch stops
-    at the first SAT result (queued siblings are cancelled).
-
-    Returns ``(sat_seen, refinements)``; ``statistics`` is updated in place
-    and must carry the ``waves`` / ``pattern_pairs`` / ``iterations`` /
-    ``solver_instances`` / ``traps`` / ``siphons`` counters.
-    """
-    refinements: list = []
-    seen: set[tuple] = set()
-    sat_seen = False
-    for wave_start, wave_end in wave_plan(total, engine.jobs):
-        results = engine.run_wave(
-            build_subproblems(wave_start, wave_end, refinements),
-            stop_on=lambda result: result.verdict == "sat",
-        )
-        statistics["waves"] += 1
-        for result in results:
-            if result is None:  # cancelled after a decisive sibling
-                continue
-            statistics["pattern_pairs"] += 1
-            statistics["iterations"] += result.statistics.get("iterations", 0)
-            if result.verdict == "pruned":
-                statistics["pruned_pairs"] = statistics.get("pruned_pairs", 0) + 1
-            else:
-                statistics["solver_instances"] += 1
-            for step in result.data.get("refinements", ()):
-                key = (step.kind, step.states)
-                if key not in seen:
-                    seen.add(key)
-                    refinements.append(step)
-                    statistics["traps" if step.kind == "trap" else "siphons"] += 1
-                    monitor.emit_refinement_found(step.kind, step.states, step.iteration)
-            if result.verdict == "sat":
-                sat_seen = True
-        if sat_seen:
-            break
-    return sat_seen, refinements

@@ -1,19 +1,19 @@
 """Picklable subproblem envelopes exchanged between coordinator and workers.
 
 A :class:`Subproblem` is a self-contained description of one independent
-piece of a verification run: which check to perform (``kind``), the protocol
-it concerns, and the kind-specific parameters (a terminal-pattern pair and
-the trap/siphon refinements to seed the CEGAR loop with, a partition-search
-strategy, ...).  Everything in the envelope is picklable, so a subproblem
-can cross a process boundary; the protocol travels as the serialisation
-dictionary of :mod:`repro.io.serialization` together with its content hash,
-which lets worker processes cache the decoded protocol across subproblems.
+piece of a batch: which check to perform (``kind``: ``"check-protocol"``
+verifies one whole protocol; ``"poison"`` deliberately damages its worker
+for the fault-injection tests), the protocol it concerns, and the
+kind-specific parameters (property names, options, predicate).  Everything
+in the envelope is picklable, so a subproblem can cross a process boundary;
+the protocol travels as the serialisation dictionary of
+:mod:`repro.io.serialization` together with its content hash, which lets
+worker processes cache the decoded protocol.
 
-Small objects with stable equality semantics (patterns, refinement steps)
-travel as plain pickled values; payloads that also land on disk — the
-result cache stores whole verification reports — go through the shared
-artifact codecs of :mod:`repro.io.serialization`, re-exported here for the
-engine's convenience.
+Payloads that also land on disk — the result cache stores whole
+verification reports — go through the shared artifact codecs of
+:mod:`repro.io.serialization`, re-exported here for the engine's
+convenience.
 """
 
 from __future__ import annotations
@@ -32,13 +32,7 @@ from repro.io.serialization import (  # noqa: F401  (re-exported codec surface)
 )
 
 #: Subproblem kinds understood by :func:`repro.engine.worker.solve_subproblem`.
-KINDS = (
-    "consensus-pair",
-    "correctness-pattern",
-    "termination-strategy",
-    "check-protocol",
-    "poison",
-)
+KINDS = ("check-protocol", "poison")
 
 
 @dataclass(frozen=True)
@@ -80,10 +74,9 @@ class Subproblem:
 class SubproblemResult:
     """What a worker sends back: a verdict plus kind-specific payload.
 
-    ``verdict`` is kind-dependent ("unsat"/"sat" for CEGAR subproblems,
-    "holds"/"fails" for strategy and whole-protocol subproblems); ``data``
-    carries portable payloads (new refinements, encoded partitions, result
-    summaries) and ``statistics`` the worker-side counters.
+    ``verdict`` is ``"holds"``/``"fails"`` for whole-protocol subproblems;
+    ``data`` carries the portable payload (the report dictionary) and
+    ``statistics`` the worker-side counters.
 
     ``spans`` carries the worker-side trace spans of a traced run (the
     envelope's ``params["trace"]`` flag asks the worker to collect them);

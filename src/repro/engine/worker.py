@@ -1,14 +1,14 @@
 """Worker-process entry point: solve one subproblem envelope.
 
 ``solve_subproblem`` is the single function shipped to the process pool.
-It dispatches on the subproblem ``kind`` to the solving routines exposed by
-the verification modules, which are imported lazily (the verification layer
-imports the engine, not the other way round at module load time).
+It dispatches on the subproblem ``kind``; the ``check-protocol`` handler
+runs a whole serial :class:`~repro.api.verifier.Verifier` check, imported
+lazily (the API layer imports the engine, not the other way round at
+module load time).
 
 Decoded protocols are cached per process keyed by their content hash, so a
-worker that solves many subproblems of the same protocol — the common case:
-one pattern pair per subproblem, dozens of pairs per protocol — pays the
-deserialisation cost once.
+worker that sees the same protocol again (a long-lived service pool) pays
+the deserialisation cost once.
 """
 
 from __future__ import annotations
@@ -19,26 +19,14 @@ import time
 
 from repro.obs import trace
 
-from repro.engine.subproblem import (
-    Subproblem,
-    SubproblemResult,
-    encode_partition,
-)
+from repro.engine.subproblem import Subproblem, SubproblemResult
 from repro.io.serialization import protocol_from_dict
 
 #: Per-process cache of decoded protocols, keyed by content hash.  Bounded:
 #: a long-lived pool serving thousands of distinct protocols must not grow
-#: worker RSS forever (subproblems of one protocol arrive clustered, so a
-#: small cache keeps the hit rate at ~100%).
+#: worker RSS forever.
 _PROTOCOLS: dict = {}
 _MAX_PROTOCOLS = 64
-
-#: Per-process AnalysisContext cache, keyed the same way.  The coordinator
-#: ships its already-computed portable artifacts inside the subproblem
-#: envelope (``params["context"]``); everything else is computed lazily,
-#: once per protocol per worker process, and shared across all the
-#: subproblems of that protocol the process solves.
-_CONTEXTS: dict = {}
 
 
 def _protocol_for(subproblem: Subproblem):
@@ -46,24 +34,9 @@ def _protocol_for(subproblem: Subproblem):
     if protocol is None:
         protocol = protocol_from_dict(subproblem.protocol_data)
         if len(_PROTOCOLS) >= _MAX_PROTOCOLS:
-            evicted = next(iter(_PROTOCOLS))
-            _PROTOCOLS.pop(evicted)
-            # Evict the *same* protocol's context: a context must never
-            # outlive the protocol object its artifacts were built from.
-            _CONTEXTS.pop(evicted, None)
+            _PROTOCOLS.pop(next(iter(_PROTOCOLS)))
         _PROTOCOLS[subproblem.protocol_key] = protocol
     return protocol
-
-
-def _context_for(subproblem: Subproblem, protocol):
-    from repro.constraints.context import AnalysisContext
-
-    context = _CONTEXTS.get(subproblem.protocol_key)
-    if context is None:
-        context = AnalysisContext(protocol).seed_protocol_key(subproblem.protocol_key)
-        _CONTEXTS[subproblem.protocol_key] = context
-    context.hydrate(subproblem.params.get("context"))
-    return context
 
 
 def solve_subproblem(subproblem: Subproblem) -> SubproblemResult:
@@ -113,93 +86,15 @@ def solve_subproblem(subproblem: Subproblem) -> SubproblemResult:
 # ----------------------------------------------------------------------
 
 
-def _solve_consensus_pair(subproblem: Subproblem) -> SubproblemResult:
-    from repro.verification.strong_consensus import solve_pattern_pair_subproblem
-
-    protocol = _protocol_for(subproblem)
-    params = subproblem.params
-    outcome = solve_pattern_pair_subproblem(
-        protocol,
-        pattern_true=params["pattern_true"],
-        pattern_false=params["pattern_false"],
-        seed_refinements=params["refinements"],
-        theory=params.get("theory", "auto"),
-        max_refinements=params.get("max_refinements", 10_000),
-        protocol_key=subproblem.protocol_key,
-        backend=params.get("backend"),
-        context=_context_for(subproblem, protocol),
-        incremental=params.get("incremental"),
-    )
-    # The counterexample model is deliberately not shipped: on SAT the
-    # coordinator re-derives the canonical one via the serial path, so only
-    # the verdict and the discovered refinements matter.
-    return SubproblemResult(
-        kind=subproblem.kind,
-        index=subproblem.index,
-        verdict=outcome.verdict,
-        data={"refinements": list(outcome.new_refinements)},
-        statistics=outcome.statistics,
-    )
-
-
-def _solve_correctness_pattern(subproblem: Subproblem) -> SubproblemResult:
-    from repro.verification.correctness import solve_correctness_pattern_subproblem
-
-    protocol = _protocol_for(subproblem)
-    params = subproblem.params
-    outcome = solve_correctness_pattern_subproblem(
-        protocol,
-        predicate=params["predicate"],
-        expected_output=params["expected_output"],
-        pattern=params["pattern"],
-        seed_refinements=params["refinements"],
-        theory=params.get("theory", "auto"),
-        max_refinements=params.get("max_refinements", 10_000),
-        backend=params.get("backend"),
-        context=_context_for(subproblem, protocol),
-        incremental=params.get("incremental"),
-    )
-    return SubproblemResult(
-        kind=subproblem.kind,
-        index=subproblem.index,
-        verdict=outcome.verdict,
-        data={"refinements": list(outcome.new_refinements)},
-        statistics=outcome.statistics,
-    )
-
-
-def _solve_termination_strategy(subproblem: Subproblem) -> SubproblemResult:
-    from repro.verification.layered_termination import attempt_strategy
-
-    protocol = _protocol_for(subproblem)
-    params = subproblem.params
-    result = attempt_strategy(
-        protocol,
-        strategy=params["strategy"],
-        max_layers=params.get("max_layers"),
-        theory=params.get("theory", "auto"),
-        backend=params.get("backend"),
-        context=_context_for(subproblem, protocol),
-        incremental=params.get("incremental"),
-    )
-    data = {"strategy": params["strategy"], "reason": result.reason}
-    if result.holds and result.certificate is not None:
-        data["partition"] = encode_partition(result.certificate.partition)
-    return SubproblemResult(
-        kind=subproblem.kind,
-        index=subproblem.index,
-        verdict="holds" if result.holds else "fails",
-        data=data,
-        statistics=result.statistics,
-    )
-
-
 def _solve_check_protocol(subproblem: Subproblem) -> SubproblemResult:
     """Run the full property pipeline for one protocol, serially, in-worker.
 
     The result payload is the lossless report dictionary — exactly what the
     coordinator's serial path would produce and what the result cache
-    stores — so across-protocol fan-out loses no artifacts.
+    stores — so across-protocol fan-out loses no artifacts.  A traced run's
+    span tree is moved out of the report and adopted under this worker's
+    ``subproblem`` span, so it rides home in the result envelope and joins
+    the coordinator's tree.
     """
     from repro.api.options import VerificationOptions
     from repro.api.verifier import Verifier
@@ -214,6 +109,7 @@ def _solve_check_protocol(subproblem: Subproblem) -> SubproblemResult:
             properties=params.get("properties", ("ws3",)),
             predicate=params.get("predicate"),
         )
+    trace.adopt_spans(report.statistics.pop("trace", None))
     return SubproblemResult(
         kind=subproblem.kind,
         index=subproblem.index,
@@ -231,9 +127,4 @@ def _poison(subproblem: Subproblem) -> None:
     raise RuntimeError("poisoned subproblem")
 
 
-_HANDLERS = {
-    "consensus-pair": _solve_consensus_pair,
-    "correctness-pattern": _solve_correctness_pattern,
-    "termination-strategy": _solve_termination_strategy,
-    "check-protocol": _solve_check_protocol,
-}
+_HANDLERS = {"check-protocol": _solve_check_protocol}

@@ -96,14 +96,14 @@ class VerificationService:
         keyword overrides are applied on top, mirroring ``Verifier``.
     workers:
         Dispatcher threads, i.e. how many jobs may *run* concurrently.  The
-        default of 1 serialises jobs (each still fans its subproblems over
-        ``options.jobs`` worker processes); raise it to overlap independent
-        jobs on the same pool.
+        default of 1 serialises jobs (a batch job still verifies
+        ``options.jobs`` protocols at a time on the worker pool); raise it
+        to overlap independent jobs.
     engine:
-        An existing :class:`~repro.engine.scheduler.VerificationEngine` to
-        schedule on (left running on :meth:`close`); mutually exclusive
+        An existing :class:`~repro.engine.scheduler.VerificationEngine` for
+        batch jobs (left running on :meth:`close`); mutually exclusive
         with ``jobs > 1`` in the options, which makes the service create —
-        and own — a pool lazily on first use.
+        and own — a pool lazily on the first batch.
     cache:
         An existing :class:`~repro.engine.cache.ResultCache`; by default a
         cache is opened at ``options.cache_dir`` (if set) on first use.
@@ -245,7 +245,11 @@ class VerificationService:
 
     @property
     def engine(self):
-        """The shared engine (``None`` until a parallel job runs)."""
+        """The shared engine (``None`` until a batch job fans out).
+
+        Only batch jobs use the pool, one protocol per worker; a single
+        check always runs serially on its dispatcher thread.
+        """
         return self._engine
 
     def _engine_for_call(self):
@@ -766,8 +770,10 @@ class VerificationService:
 
         With ``options.trace`` the whole check runs under a span sink and
         the finished report embeds the span tree (``statistics["trace"]``)
-        next to the progress-event trail; ``options.profile`` adds per-phase
-        wall/CPU timing and a ``cProfile`` capture of this thread
+        next to the progress-event trail — unless a traced batch already
+        collects spans on this thread, in which case the check's ``job``
+        span joins the batch's tree instead.  ``options.profile`` adds
+        per-phase wall/CPU timing and a ``cProfile`` capture of this thread
         (``statistics["profile"]``).  Both are execution-only: the verdicts
         and artifacts are identical to an uninstrumented run.
         """
@@ -778,7 +784,8 @@ class VerificationService:
         from repro.obs import trace as obs_trace
         from repro.obs.profile import PhaseProfile, cprofile_capture
 
-        sink = obs_trace.TraceSink() if self.options.trace else None
+        traced = self.options.trace
+        sink = obs_trace.TraceSink() if traced and not obs_trace.tracing_active() else None
         phases = PhaseProfile() if self.options.profile else None
         capture = None
         with contextlib.ExitStack() as stack:
@@ -786,6 +793,7 @@ class VerificationService:
                 capture = stack.enter_context(cprofile_capture())
             if sink is not None:
                 stack.enter_context(obs_trace.collect(sink))
+            if traced:
                 stack.enter_context(
                     obs_trace.span(
                         "job",
@@ -810,7 +818,6 @@ class VerificationService:
     ) -> VerificationReport:
         start = time.perf_counter()
         context = self.analysis_context(protocol)
-        engine = self._engine_for_call()
         monitor.emit_backend_selected(self.options.backend, scope="options")
         results = []
         deadline_error: JobDeadlineExceeded | None = None
@@ -834,13 +841,9 @@ class VerificationService:
                     with obs_span("property", property=name, protocol=protocol.name) as pspan:
                         if phases is not None:
                             with phases.phase(name):
-                                result = self._run_checker(
-                                    checker, protocol, engine, predicate, context
-                                )
+                                result = self._run_checker(checker, protocol, predicate, context)
                         else:
-                            result = self._run_checker(
-                                checker, protocol, engine, predicate, context
-                            )
+                            result = self._run_checker(checker, protocol, predicate, context)
                         if pspan is not None:
                             pspan.attrs["verdict"] = result.verdict.value
                 except JobDeadlineExceeded as error:
@@ -862,7 +865,7 @@ class VerificationService:
             results.append(result)
         statistics = {
             "time": time.perf_counter() - start,
-            "jobs": engine.jobs if engine is not None else 1,
+            "jobs": 1,
             "properties": list(names),
         }
         if deadline_error is not None:
@@ -875,13 +878,13 @@ class VerificationService:
             statistics=statistics,
         )
 
-    def _run_checker(self, checker, protocol, engine, predicate, context):
+    def _run_checker(self, checker, protocol, predicate, context):
         """Invoke one checker, passing the shared context when it accepts one.
 
         Custom checkers written against the pre-context interface (no
         ``context`` keyword) keep working unchanged.
         """
-        kwargs = {"engine": engine, "predicate": predicate}
+        kwargs = {"predicate": predicate}
         try:
             accepts_context = "context" in inspect.signature(checker.check).parameters
         except (TypeError, ValueError):  # pragma: no cover - exotic callables
@@ -891,15 +894,36 @@ class VerificationService:
         return checker.check(protocol, self.options, **kwargs)
 
     def _run_batch_job(self, job: Job):
+        """Run a batch; with ``options.trace`` its span tree is one rooted tree.
+
+        The ``batch`` root span holds the ``engine.wave`` span, the adopted
+        worker ``subproblem`` spans and, below them, each protocol's ``job``
+        span; it lands in ``batch.statistics["trace"]``.
+        """
         from repro.engine.batch import run_batch
 
         payload = job.payload
         names = payload["properties"]
-        return run_batch(
-            payload["protocols"],
-            names,
-            self.options,
-            engine=self._engine_for_call(),
-            cache=self._cache_for_call(),
-            check_one=lambda protocol, engine: self.run_check(protocol, names),
-        )
+
+        def run():
+            return run_batch(
+                payload["protocols"],
+                names,
+                self.options,
+                engine=self._engine_for_call(),
+                cache=self._cache_for_call(),
+                check_one=lambda protocol: self.run_check(protocol, names),
+            )
+
+        if not self.options.trace:
+            return run()
+        from repro.obs import trace as obs_trace
+
+        sink = obs_trace.TraceSink()
+        with obs_trace.collect(sink):
+            with obs_trace.span("batch", protocols=len(payload["protocols"]), job_id=job.id):
+                batch = run()
+        batch.statistics["trace"] = sink.spans()
+        if sink.dropped:
+            batch.statistics["trace_dropped_spans"] = sink.dropped
+        return batch

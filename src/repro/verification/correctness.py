@@ -32,10 +32,9 @@ from typing import Protocol as TypingProtocol
 from repro.constraints.backends import create_solver, resolve_backend_name
 from repro.constraints.builders import ConstraintBuilder
 from repro.constraints.context import AnalysisContext
-from repro.constraints.incremental import ScopedSimplifier, bump, resolve_incremental
+from repro.constraints.incremental import ScopedSimplifier, bump
 from repro.constraints.ir import DEFAULT_BOUND
 from repro.constraints.simplify import SimplifyStats
-from repro.constraints.simplify_cache import simplify_system_cached
 from repro.datatypes.multiset import Multiset
 from repro.engine import monitor
 from repro.protocols.protocol import PopulationProtocol
@@ -68,50 +67,13 @@ class CorrectnessResult:
         return self.holds
 
 
-def _assert_correctness_base(
-    protocol: PopulationProtocol,
-    builder: ConstraintBuilder,
-    solver,
-    simplifier: SimplifyStats | None = None,
-) -> tuple:
-    """Declare the shared input/flow variables and assert the base constraints.
-
-    The initial configuration is the image of the input under I, expressed
-    directly over the input variables; the flow equations are likewise
-    substituted away (c1 is an expression over the input and the flow).
-    """
-    variables = builder.correctness_variables()
-    system = builder.correctness_base_system(variables)
-    simplify_system_cached(system, tighten_bounds=False, simplifier=simplifier).assert_into(solver)
-    return variables
-
-
-def correctness_tasks(
-    protocol: PopulationProtocol, context: AnalysisContext | None = None
-) -> list[tuple[int, object]]:
-    """The deterministic enumeration of (expected output, pattern) tasks."""
-    if context is None:
-        context = AnalysisContext(protocol)
-    patterns = context.terminal_patterns
-    tasks = []
-    for expected_output in (1, 0):
-        wrong_output = 1 - expected_output
-        for pattern in patterns:
-            if pattern.admits_output(protocol, wrong_output):
-                tasks.append((expected_output, pattern))
-    return tasks
-
-
 def check_correctness_impl(
     protocol: PopulationProtocol,
     predicate: PredicateLike,
     theory: str = "auto",
     max_refinements: int = 10_000,
-    jobs: int = 1,
-    engine=None,
     backend: str | None = None,
     context: AnalysisContext | None = None,
-    incremental: bool | None = None,
 ) -> CorrectnessResult:
     """Check that a protocol computes ``predicate``.
 
@@ -120,64 +82,45 @@ def check_correctness_impl(
     configuration, and every reachable terminal configuration is potentially
     reachable, so if no potentially-reachable terminal configuration carries
     the wrong output the protocol computes the predicate.
-
-    With ``jobs > 1`` (or a parallel ``engine``), the independent
-    (direction, terminal pattern) subproblems are fanned out over worker
-    processes; ``jobs=1`` runs the persistent-solver path unchanged.
     """
-    if engine is not None and jobs != 1:
-        raise ValueError("pass either jobs>1 or an engine, not both")
     if context is None:
         context = AnalysisContext(protocol)
-    owned_engine = False
-    if engine is None and jobs > 1:
-        from repro.engine.scheduler import VerificationEngine
-
-        engine = VerificationEngine(jobs=jobs)
-        owned_engine = True
-    if engine is not None and engine.parallel:
-        try:
-            return _check_correctness_engine(
-                protocol, predicate, theory, max_refinements, engine, backend, context,
-                incremental=incremental,
-            )
-        finally:
-            if owned_engine:
-                engine.shutdown()
-
     start = time.perf_counter()
     refinements: list[RefinementStep] = []
     simplifier = SimplifyStats()
     statistics = {"iterations": 0, "traps": 0, "siphons": 0, "solver_instances": 1}
-    use_incremental = resolve_incremental(incremental)
-    statistics["incremental"] = use_incremental
 
     # One persistent solver for both output directions and all terminal
     # support patterns (cf. the StrongConsensus check): the input encoding,
-    # flow variables and non-negativity constraints are asserted once, the
-    # per-direction/per-pattern constraints live in push/pop scopes, and
-    # lemmas learned while refuting one pattern carry over to the next.
+    # flow variables, non-negativity constraints and every cut found so far
+    # live at base level, the per-direction/per-pattern constraints live in
+    # push/pop scopes, and lemmas learned while refuting one pattern carry
+    # over to the next.
     builder = context.builder
     solver = create_solver(backend, theory=theory)
-    scoped: ScopedSimplifier | None = None
-    if use_incremental:
-        variables = builder.correctness_variables()
-        scoped = ScopedSimplifier(
-            builder.correctness_base_system(variables), tighten_bounds=False, stats=simplifier
-        )
-        scoped.system.assert_into(solver)
-    else:
-        variables = _assert_correctness_base(protocol, builder, solver, simplifier)
+    variables = builder.correctness_variables()
+    _input_vars, c0, c1, x1 = variables
+    scoped = ScopedSimplifier(
+        builder.correctness_base_system(variables), tighten_bounds=False, stats=simplifier
+    )
+    scoped.system.assert_into(solver)
     predicate_memo: dict[int, tuple] = {}
 
     def promote_cuts(new_steps: list[RefinementStep]) -> None:
         """Assert a pattern's new cuts once, at base level, in general form."""
-        _input_vars, c0, c1, x1 = variables
         for step in new_steps:
             cut = builder.refinement_constraint(step, c0, c1, x1)
             for formula in scoped.add_delta(cut):
                 solver.add(formula)
             bump("cuts_promoted_to_base")
+
+    def finish(result: CorrectnessResult) -> CorrectnessResult:
+        statistics["solver"] = dict(solver.statistics)
+        statistics["simplifier"] = simplifier.to_dict()
+        statistics["scoped_simplifier"] = scoped.savings_summary()
+        statistics["backend"] = resolve_backend_name(backend)
+        statistics["time"] = time.perf_counter() - start
+        return result
 
     patterns = context.terminal_patterns
     for expected_output in (1, 0):
@@ -185,13 +128,12 @@ def check_correctness_impl(
         for pattern in patterns:
             if not pattern.admits_output(protocol, wrong_output):
                 continue
-            # Cooperative checkpoint of the serial sweep (service jobs).
+            # Cooperative checkpoint between patterns (service jobs).
             monitor.check_cancelled()
             statistics["pattern_pairs"] = statistics.get("pattern_pairs", 0) + 1
             pattern_start = len(refinements)
             solver.push()
-            if scoped is not None:
-                scoped.push()
+            scoped.push()
             try:
                 outcome = _solve_pattern(
                     protocol,
@@ -204,38 +146,24 @@ def check_correctness_impl(
                     max_refinements,
                     refinements,
                     statistics,
-                    context=context,
-                    simplifier=simplifier,
-                    scoped=scoped,
-                    predicate_memo=predicate_memo,
+                    context,
+                    scoped,
+                    predicate_memo,
                 )
             finally:
                 solver.pop()
-                if scoped is not None:
-                    scoped.pop()
-            if scoped is not None:
-                promote_cuts(refinements[pattern_start:])
+                scoped.pop()
+            promote_cuts(refinements[pattern_start:])
             if outcome is not None:
-                statistics["solver"] = dict(solver.statistics)
-                statistics["simplifier"] = simplifier.to_dict()
-                if scoped is not None:
-                    statistics["scoped_simplifier"] = scoped.savings_summary()
-                statistics["backend"] = resolve_backend_name(backend)
-                statistics["time"] = time.perf_counter() - start
-                return CorrectnessResult(
-                    holds=False,
-                    counterexample=outcome,
-                    refinements=refinements,
-                    statistics=statistics,
+                return finish(
+                    CorrectnessResult(
+                        holds=False,
+                        counterexample=outcome,
+                        refinements=refinements,
+                        statistics=statistics,
+                    )
                 )
-
-    statistics["solver"] = dict(solver.statistics)
-    statistics["simplifier"] = simplifier.to_dict()
-    if scoped is not None:
-        statistics["scoped_simplifier"] = scoped.savings_summary()
-    statistics["backend"] = resolve_backend_name(backend)
-    statistics["time"] = time.perf_counter() - start
-    return CorrectnessResult(holds=True, refinements=refinements, statistics=statistics)
+    return finish(CorrectnessResult(holds=True, refinements=refinements, statistics=statistics))
 
 
 def _solve_pattern(
@@ -249,62 +177,44 @@ def _solve_pattern(
     max_refinements: int,
     refinements: list[RefinementStep],
     statistics: dict,
-    context: AnalysisContext | None = None,
-    simplifier: SimplifyStats | None = None,
-    scoped: ScopedSimplifier | None = None,
-    predicate_memo: dict | None = None,
+    context: AnalysisContext,
+    scoped: ScopedSimplifier,
+    predicate_memo: dict,
 ) -> CorrectnessCounterexample | None:
     """Run the refinement loop for one pattern inside an open solver scope.
 
-    Non-incremental (``scoped is None``): the per-pattern block — the
-    pattern membership, the wrong-output constraint, the compiled predicate
-    (or its negation) and the trap/siphon constraints discovered for earlier
-    patterns (they only reference the shared flow and configurations, so
-    they are valid here too) — is one IR system, simplified without bound
-    tightening (the scope is retractable).
-
-    Incremental (``scoped`` given): earlier patterns' cuts already live at
-    base level in general form, so the delta is only the pattern membership,
-    the wrong-output constraint and the (per-direction memoized) compiled
-    predicate; new cuts are asserted in general form and re-promoted to base
-    by the caller after pop.  Equivalence with the specialized
-    ``target_support`` form holds under pattern membership exactly as in the
-    StrongConsensus check.
+    Earlier patterns' cuts already live at base level in general form, so
+    the delta is only the pattern membership, the wrong-output constraint
+    and the (per-direction memoized) compiled predicate; new cuts are
+    asserted in general form and re-promoted to base by the caller after
+    pop.  Equivalence with the specialized ``target_support`` form holds
+    under pattern membership exactly as in the StrongConsensus check.
     """
     from repro.presburger.ir import predicate_system
 
     input_vars, c0, c1, x1 = variables
-    supports = context.transition_supports if context is not None else None
-    if scoped is not None:
-        memo = predicate_memo if predicate_memo is not None else {}
-        entry = memo.get(expected_output)
-        if entry is None:
-            compiled = predicate_system(predicate, input_vars, negate=(expected_output == 0))
-            entry = (dict(compiled.bounds), list(compiled.constraints))
-            memo[expected_output] = entry
-        pred_bounds, pred_constraints = entry
-        # The predicate's fresh existential variables (e.g. remainder
-        # quotients) are declared unscoped — solver scopes never retract
-        # declarations, so the mirror system must not either.  Re-declaring
-        # on a later scope with the same direction is idempotent.
-        for variable, (lower, upper) in pred_bounds.items():
-            scoped.declare(variable, lower, upper)
-            if (lower, upper) != DEFAULT_BOUND:
-                solver.int_var(variable, lower=lower, upper=upper)
-        delta = [
-            builder.pattern(c1, pattern),
-            builder.has_output(c1, 1 - expected_output),
-            *pred_constraints,
-        ]
-        for formula in scoped.add_delta(*delta):
-            solver.add(formula)
-    else:
-        system = builder.correctness_pattern_system(variables, expected_output, pattern, refinements)
-        # The predicate block is compiled separately through the presburger->IR
-        # path so fresh existential variables (remainder quotients) land in the
-        # system's variable groups.
-        system.merge(predicate_system(predicate, input_vars, negate=(expected_output == 0)))
-        simplify_system_cached(system, tighten_bounds=False, simplifier=simplifier).assert_into(solver)
+    supports = context.transition_supports
+    entry = predicate_memo.get(expected_output)
+    if entry is None:
+        compiled = predicate_system(predicate, input_vars, negate=(expected_output == 0))
+        entry = (dict(compiled.bounds), list(compiled.constraints))
+        predicate_memo[expected_output] = entry
+    pred_bounds, pred_constraints = entry
+    # The predicate's fresh existential variables (e.g. remainder
+    # quotients) are declared unscoped — solver scopes never retract
+    # declarations, so the mirror system must not either.  Re-declaring
+    # on a later scope with the same direction is idempotent.
+    for variable, (lower, upper) in pred_bounds.items():
+        scoped.declare(variable, lower, upper)
+        if (lower, upper) != DEFAULT_BOUND:
+            solver.int_var(variable, lower=lower, upper=upper)
+    delta = [
+        builder.pattern(c1, pattern),
+        builder.has_output(c1, 1 - expected_output),
+        *pred_constraints,
+    ]
+    for formula in scoped.add_delta(*delta):
+        solver.add(formula)
 
     for iteration in range(max_refinements):
         statistics["iterations"] += 1
@@ -338,214 +248,11 @@ def _solve_pattern(
         refinements.append(step)
         statistics["traps" if step.kind == "trap" else "siphons"] += 1
         monitor.emit_refinement_found(step.kind, step.states, step.iteration)
-        if scoped is not None:
-            for formula in scoped.add_delta(builder.refinement_constraint(step, c0, c1, x1)):
-                solver.add(formula)
-        else:
-            solver.add(
-                builder.refinement_constraint(step, c0, c1, x1, target_support=pattern.allowed)
-            )
+        for formula in scoped.add_delta(builder.refinement_constraint(step, c0, c1, x1)):
+            solver.add(formula)
     raise RuntimeError(
         f"correctness refinement did not converge within {max_refinements} iterations"
     )
-
-
-# ----------------------------------------------------------------------
-# Correctness patterns as engine subproblems
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class CorrectnessPatternOutcome:
-    """Worker-side outcome of one (direction, pattern) subproblem."""
-
-    verdict: str  # "unsat" or "sat"
-    new_refinements: list[RefinementStep]
-    statistics: dict
-
-
-def solve_correctness_pattern_subproblem(
-    protocol: PopulationProtocol,
-    predicate: PredicateLike,
-    expected_output: int,
-    pattern,
-    seed_refinements,
-    theory: str = "auto",
-    max_refinements: int = 10_000,
-    backend: str | None = None,
-    context: AnalysisContext | None = None,
-    incremental: bool | None = None,
-) -> CorrectnessPatternOutcome:
-    """Solve one (direction, pattern) subproblem on a fresh solver.
-
-    Like its StrongConsensus counterpart, the outcome depends only on the
-    arguments — never on sibling subproblems solved by the same process —
-    which keeps parallel runs reproducible.  In incremental mode the seeded
-    cuts are asserted once at base level in general form and the pattern's
-    block lives in a scoped delta, mirroring the serial path.
-    """
-    if context is None:
-        context = AnalysisContext(protocol)
-    builder = context.builder
-    solver = create_solver(backend, theory=theory)
-    refinements = list(seed_refinements)
-    seeded = len(refinements)
-    statistics = {"iterations": 0, "traps": 0, "siphons": 0}
-    use_incremental = resolve_incremental(incremental)
-    scoped: ScopedSimplifier | None = None
-    if use_incremental:
-        variables = builder.correctness_variables()
-        _input_vars, c0, c1, x1 = variables
-        scoped = ScopedSimplifier(builder.correctness_base_system(variables), tighten_bounds=False)
-        scoped.system.assert_into(solver)
-        for step in refinements:
-            for formula in scoped.add_delta(builder.refinement_constraint(step, c0, c1, x1)):
-                solver.add(formula)
-        solver.push()
-        scoped.push()
-    else:
-        variables = _assert_correctness_base(protocol, builder, solver)
-    try:
-        outcome = _solve_pattern(
-            protocol,
-            builder,
-            solver,
-            variables,
-            predicate,
-            expected_output,
-            pattern,
-            max_refinements,
-            refinements,
-            statistics,
-            context=context,
-            scoped=scoped,
-        )
-    finally:
-        if scoped is not None:
-            solver.pop()
-            scoped.pop()
-            statistics["scoped_simplifier"] = scoped.savings_summary()
-    statistics["solver"] = dict(solver.statistics)
-    return CorrectnessPatternOutcome(
-        verdict="unsat" if outcome is None else "sat",
-        new_refinements=refinements[seeded:],
-        statistics=statistics,
-    )
-
-
-def correctness_pattern_subproblems(
-    protocol: PopulationProtocol,
-    predicate: PredicateLike,
-    tasks: list,
-    seed_refinements: list[RefinementStep],
-    theory: str,
-    max_refinements: int,
-    first_index: int,
-    protocol_data: dict,
-    protocol_key: str,
-    backend: str | None = None,
-    context_data: dict | None = None,
-    incremental: bool | None = None,
-) -> list:
-    """Package a slice of the (direction, pattern) enumeration as subproblems."""
-    from repro.engine.subproblem import Subproblem
-
-    return [
-        Subproblem(
-            kind="correctness-pattern",
-            index=first_index + offset,
-            protocol_key=protocol_key,
-            protocol_data=protocol_data,
-            params={
-                "predicate": predicate,
-                "expected_output": expected_output,
-                "pattern": pattern,
-                "refinements": tuple(seed_refinements),
-                "theory": theory,
-                "max_refinements": max_refinements,
-                "backend": backend,
-                "context": context_data or {},
-                "incremental": incremental,
-            },
-        )
-        for offset, (expected_output, pattern) in enumerate(tasks)
-    ]
-
-
-def _check_correctness_engine(
-    protocol: PopulationProtocol,
-    predicate: PredicateLike,
-    theory: str,
-    max_refinements: int,
-    engine,
-    backend: str | None = None,
-    context: AnalysisContext | None = None,
-    incremental: bool | None = None,
-) -> CorrectnessResult:
-    """Fan the (direction, pattern) subproblems over the worker pool.
-
-    Same coordination scheme as the parallel StrongConsensus check:
-    deterministic waves of ``jobs`` subproblems, trap/siphon refinements
-    merged between waves, and a serial re-run when a wrong-output witness is
-    found so the reported counterexample is canonical.
-    """
-    from repro.engine.scheduler import run_refinement_sweep
-    from repro.io.serialization import protocol_to_dict
-
-    if context is None:
-        context = AnalysisContext(protocol)
-    start = time.perf_counter()
-    tasks = correctness_tasks(protocol, context)
-    protocol_data = protocol_to_dict(protocol)
-    protocol_key = context.protocol_key
-    context_data = context.export_data()
-    statistics = {
-        "iterations": 0,
-        "traps": 0,
-        "siphons": 0,
-        "pattern_pairs": 0,
-        "jobs": engine.jobs,
-        "waves": 0,
-        "solver_instances": 0,
-    }
-    sat_seen, refinements = run_refinement_sweep(
-        engine,
-        len(tasks),
-        lambda wave_start, wave_end, seed: correctness_pattern_subproblems(
-            protocol,
-            predicate,
-            tasks[wave_start:wave_end],
-            seed,
-            theory,
-            max_refinements,
-            wave_start,
-            protocol_data,
-            protocol_key,
-            backend,
-            context_data,
-            incremental,
-        ),
-        statistics,
-    )
-
-    if sat_seen:
-        serial = check_correctness_impl(
-            protocol,
-            predicate,
-            theory=theory,
-            max_refinements=max_refinements,
-            backend=backend,
-            context=context,
-            incremental=incremental,
-        )
-        serial.statistics["parallel"] = {
-            "jobs": engine.jobs,
-            "waves": statistics["waves"],
-            "fallback": "serial-rerun",
-        }
-        return serial
-    statistics["time"] = time.perf_counter() - start
-    return CorrectnessResult(holds=True, refinements=refinements, statistics=statistics)
 
 
 def check_correctness(
@@ -553,8 +260,6 @@ def check_correctness(
     predicate: PredicateLike,
     theory: str = "auto",
     max_refinements: int = 10_000,
-    jobs: int = 1,
-    engine=None,
     backend: str | None = None,
 ) -> CorrectnessResult:
     """Deprecated: use :class:`repro.api.Verifier` instead.
@@ -576,7 +281,5 @@ def check_correctness(
         predicate,
         theory=theory,
         max_refinements=max_refinements,
-        jobs=jobs,
-        engine=engine,
         backend=backend,
     )

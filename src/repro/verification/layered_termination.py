@@ -30,7 +30,7 @@ from itertools import combinations_with_replacement
 
 from repro.constraints.backends import create_solver, resolve_backend_name
 from repro.constraints.context import AnalysisContext
-from repro.constraints.incremental import ScopedSimplifier, resolve_incremental
+from repro.constraints.incremental import ScopedSimplifier
 from repro.constraints.ir import ConstraintSystem
 from repro.datatypes.multiset import Multiset
 from repro.engine import monitor
@@ -340,7 +340,6 @@ def smt_partition_search(
     theory: str = "auto",
     backend: str | None = None,
     context: AnalysisContext | None = None,
-    incremental: bool | None = None,
 ) -> OrderedPartition | None:
     """Exact partition search via the constraint encoding of Appendix D.1.
 
@@ -357,14 +356,13 @@ def smt_partition_search(
     paper requires the enabled transition to be in the *same* layer as
     ``u``, which is sufficient but slightly stronger).
 
-    In incremental mode the encoding is routed through the constraint IR and
-    a :class:`ScopedSimplifier`: the base (simplified once — folding kills
-    the ``|T|`` vacuous ``t == u`` implications of condition (b), whose
+    The encoding is routed through the constraint IR and a
+    :class:`ScopedSimplifier`: the base (simplified once — folding kills the
+    ``|T|`` vacuous ``t == u`` implications of condition (b), whose
     antecedent ``b_t < b_t`` is constantly false) is asserted once, and each
     round ``k`` is a scoped delta of ``b_t <= k`` atoms pushed and popped on
-    the solver instead of re-sent assumption lists.  Verdicts are identical;
-    the returned partition is re-checked by :func:`check_partition` either
-    way.
+    the solver.  The returned partition is re-checked by
+    :func:`check_partition`.
     """
     transitions = list(protocol.transitions)
     if not transitions:
@@ -378,41 +376,26 @@ def smt_partition_search(
     witnesses = (
         context.lemma22_witnesses if context is not None else _lemma22_witness_sets(transitions)
     )
-    use_incremental = resolve_incremental(incremental)
 
     # One persistent solver for the whole 1..max_layers sweep: the encoding
     # is built once for the largest bound, and each round k is checked under
-    # ``b_t <= k`` (a scoped delta when incremental, an assumption list
-    # otherwise).  Lemmas learned while refuting small bounds carry over to
-    # the larger ones.  (The encoding is deeply disjunctive, so the
-    # direct-ILP backend's case budget overflows and it answers through its
-    # DPLL(T) escape hatch — same verdicts, asserted by the parity tests.)
+    # the scoped delta ``b_t <= k``.  Lemmas learned while refuting small
+    # bounds carry over to the larger ones.  (The encoding is deeply
+    # disjunctive, so the direct-ILP backend's case budget overflows and it
+    # answers through its DPLL(T) escape hatch — same verdicts, asserted by
+    # the parity tests.)
     solver = create_solver(backend, theory=theory)
-    scoped: ScopedSimplifier | None = None
-    if use_incremental:
-        system = ConstraintSystem("layered-termination")
-        layer_var = {
-            transition: system.declare(f"b{index}", lower=1, upper=max_layers, group="layer")
-            for index, transition in enumerate(transitions)
-        }
-        states = sorted(protocol.states, key=repr)
-        ranking_vars = {
-            (layer, state): system.declare(f"y_{layer}_{position}", lower=0, group="ranking")
-            for layer in range(1, max_layers + 1)
-            for position, state in enumerate(states)
-        }
-    else:
-        layer_var = {}
-        for index, transition in enumerate(transitions):
-            layer_var[transition] = solver.int_var(f"b{index}", lower=1, upper=max_layers)
-        states = sorted(protocol.states, key=repr)
-        ranking_vars = {
-            (layer, state): solver.int_var(f"y_{layer}_{position}", lower=0)
-            for layer in range(1, max_layers + 1)
-            for position, state in enumerate(states)
-        }
-
-    sink = system if use_incremental else solver
+    system = ConstraintSystem("layered-termination")
+    layer_var = {
+        transition: system.declare(f"b{index}", lower=1, upper=max_layers, group="layer")
+        for index, transition in enumerate(transitions)
+    }
+    states = sorted(protocol.states, key=repr)
+    ranking_vars = {
+        (layer, state): system.declare(f"y_{layer}_{position}", lower=0, group="ranking")
+        for layer in range(1, max_layers + 1)
+        for position, state in enumerate(states)
+    }
 
     # Condition (a): each layer admits a ranking function.  Constraints for
     # layers above the current bound are vacuous under ``b_t <= k``.
@@ -422,7 +405,7 @@ def smt_partition_search(
                 change * ranking_vars[(layer, state)]
                 for state, change in transition.delta_map.items()
             )
-            sink.add(Implies(layer_var[transition].eq(layer), drop <= -1))
+            system.add(Implies(layer_var[transition].eq(layer), drop <= -1))
 
     # Condition (b): a later transition cannot wake an earlier layer.
     for t in transitions:
@@ -430,26 +413,22 @@ def smt_partition_search(
             enabled_below = disjunction(
                 [layer_var[w] < layer_var[t] for w in witnesses[(t, u)]]
             )
-            sink.add(Implies(layer_var[u] < layer_var[t], enabled_below))
+            system.add(Implies(layer_var[u] < layer_var[t], enabled_below))
 
-    if use_incremental:
-        scoped = ScopedSimplifier(system, tighten_bounds=False)
-        scoped.system.assert_into(solver)
+    scoped = ScopedSimplifier(system, tighten_bounds=False)
+    scoped.system.assert_into(solver)
 
     for num_layers in range(1, max_layers + 1):
         round_atoms = [layer_var[t] <= num_layers for t in transitions]
-        if scoped is not None:
-            solver.push()
-            scoped.push()
-            try:
-                for formula in scoped.add_delta(*round_atoms):
-                    solver.add(formula)
-                result = solver.check()
-            finally:
-                solver.pop()
-                scoped.pop()
-        else:
-            result = solver.check(assumptions=round_atoms)
+        solver.push()
+        scoped.push()
+        try:
+            for formula in scoped.add_delta(*round_atoms):
+                solver.add(formula)
+            result = solver.check()
+        finally:
+            solver.pop()
+            scoped.pop()
         if result.status is not SolverStatus.SAT:
             continue
         assignment = {t: result.model.value(layer_var[t]) for t in transitions}
@@ -498,197 +477,6 @@ def _lemma22_witness_sets(
 
 
 # ----------------------------------------------------------------------
-# Single strategies as engine subproblems
-# ----------------------------------------------------------------------
-
-#: Search order of the ``"auto"`` strategy; also the priority order of the
-#: parallel portfolio (cheap certificates first, the exact search last).
-STRATEGY_PRIORITY = ("hint", "single", "scc", "smt")
-
-
-def attempt_strategy(
-    protocol: PopulationProtocol,
-    strategy: str,
-    max_layers: int | None = None,
-    theory: str = "auto",
-    materialize_rankings: bool = False,
-    backend: str | None = None,
-    context: AnalysisContext | None = None,
-    incremental: bool | None = None,
-) -> LayeredTerminationResult:
-    """Run exactly one partition-search strategy, with no fallbacks.
-
-    This is the unit of work of the parallel strategy portfolio: each
-    strategy is independent of the others, so the engine can race them on
-    separate workers and keep the highest-priority success.
-    """
-    start = time.perf_counter()
-    if strategy == "hint":
-        partition = protocol.partition_hint
-        failure = "the protocol carries no partition hint"
-    elif strategy == "single":
-        partition = single_layer_partition(protocol)
-        failure = "the one-layer partition admits a non-silent execution"
-    elif strategy == "scc":
-        partition = scc_heuristic_partition(protocol, context=context)
-        failure = "the enabling-graph heuristic produced no silent layering"
-    elif strategy == "smt":
-        partition = smt_partition_search(
-            protocol, max_layers=max_layers, theory=theory, backend=backend, context=context,
-            incremental=incremental,
-        )
-        failure = "no ordered partition found within the layer bound"
-    else:
-        raise ValueError(f"unknown LayeredTermination strategy {strategy!r}")
-    if partition is None:
-        result = LayeredTerminationResult(holds=False, reason=failure)
-    else:
-        result = check_partition(
-            protocol, partition, materialize_rankings=materialize_rankings, strategy=strategy
-        )
-    result.statistics = {
-        "strategy": strategy,
-        "time": time.perf_counter() - start,
-        **result.statistics,
-    }
-    return result
-
-
-def termination_strategy_subproblems(
-    protocol: PopulationProtocol,
-    strategies: Sequence[str],
-    max_layers: int | None,
-    theory: str,
-    protocol_data: dict,
-    protocol_key: str,
-    first_index: int = 0,
-    backend: str | None = None,
-    context_data: dict | None = None,
-    incremental: bool | None = None,
-) -> list:
-    """Package a strategy portfolio as engine subproblems (priority order)."""
-    from repro.engine.subproblem import Subproblem
-
-    return [
-        Subproblem(
-            kind="termination-strategy",
-            index=first_index + offset,
-            protocol_key=protocol_key,
-            protocol_data=protocol_data,
-            params={
-                "strategy": strategy,
-                "max_layers": max_layers,
-                "theory": theory,
-                "backend": backend,
-                "context": context_data or {},
-                "incremental": incremental,
-            },
-        )
-        for offset, strategy in enumerate(strategies)
-    ]
-
-
-def _check_layered_termination_portfolio(
-    protocol: PopulationProtocol,
-    engine,
-    max_layers: int | None,
-    materialize_rankings: bool,
-    theory: str,
-    backend: str | None = None,
-    context: AnalysisContext | None = None,
-    incremental: bool | None = None,
-) -> LayeredTerminationResult:
-    """The ``"auto"`` strategy as a parallel portfolio.
-
-    The cheap polynomial strategies (hint, single layer, SCC heuristic) run
-    concurrently in one wave; the result of the highest-priority holding
-    strategy wins, matching the serial search order.  Only if all of them
-    fail is the exact SMT search dispatched, so no exponential work is
-    wasted when a heuristic certificate exists.  Certificates are re-checked
-    (and rankings materialised) in the coordinator with the polynomial
-    checker, so a returned certificate never depends on trusting a worker.
-    """
-    from repro.engine.subproblem import decode_partition
-    from repro.io.serialization import protocol_to_dict
-
-    if context is None:
-        context = AnalysisContext(protocol)
-    start = time.perf_counter()
-    protocol_data = protocol_to_dict(protocol)
-    protocol_key = context.protocol_key
-    context_data = context.export_data()
-    statistics: dict = {"strategy": None, "jobs": engine.jobs, "portfolio": True}
-
-    def finish(result: LayeredTerminationResult, used_strategy: str) -> LayeredTerminationResult:
-        statistics["strategy"] = used_strategy
-        statistics["time"] = time.perf_counter() - start
-        result.statistics = {**statistics, **result.statistics}
-        return result
-
-    def accept(result) -> LayeredTerminationResult:
-        partition = decode_partition(result.data["partition"])
-        checked = check_partition(
-            protocol,
-            partition,
-            materialize_rankings=materialize_rankings,
-            strategy=result.data["strategy"],
-        )
-        if not checked.holds:  # pragma: no cover - the worker already checked
-            raise RuntimeError(
-                f"strategy {result.data['strategy']!r} returned a partition that fails "
-                f"re-checking: {checked.reason}"
-            )
-        return finish(checked, result.data["strategy"])
-
-    heuristics = [
-        strategy
-        for strategy in STRATEGY_PRIORITY[:-1]
-        if strategy != "hint" or protocol.partition_hint is not None
-    ]
-    results = engine.run_wave(
-        termination_strategy_subproblems(
-            protocol,
-            heuristics,
-            max_layers,
-            theory,
-            protocol_data,
-            protocol_key,
-            backend=backend,
-            context_data=context_data,
-            incremental=incremental,
-        )
-    )
-    for result in results:  # input order == priority order
-        if result is not None and result.verdict == "holds":
-            return accept(result)
-
-    smt_results = engine.run_wave(
-        termination_strategy_subproblems(
-            protocol,
-            ["smt"],
-            max_layers,
-            theory,
-            protocol_data,
-            protocol_key,
-            first_index=len(heuristics),
-            backend=backend,
-            context_data=context_data,
-            incremental=incremental,
-        )
-    )
-    smt_result = smt_results[0]
-    if smt_result is not None and smt_result.verdict == "holds":
-        return accept(smt_result)
-    return finish(
-        LayeredTerminationResult(
-            holds=False,
-            reason="no ordered partition found within the layer bound",
-        ),
-        "smt",
-    )
-
-
-# ----------------------------------------------------------------------
 # Top-level decision procedure
 # ----------------------------------------------------------------------
 
@@ -699,11 +487,8 @@ def check_layered_termination_impl(
     max_layers: int | None = None,
     materialize_rankings: bool = False,
     theory: str = "auto",
-    jobs: int = 1,
-    engine=None,
     backend: str | None = None,
     context: AnalysisContext | None = None,
-    incremental: bool | None = None,
 ) -> LayeredTerminationResult:
     """Decide LayeredTermination (implementation; see the deprecated shim below).
 
@@ -716,43 +501,14 @@ def check_layered_termination_impl(
     * ``"scc"`` — only try the enabling-graph heuristic;
     * ``"smt"`` — only run the exact search (Appendix D.1 encoding).
 
-    With ``jobs > 1`` (or a parallel ``engine``) and the ``"auto"``
-    strategy, the partition searches run as a portfolio on the worker pool
-    (see :func:`_check_layered_termination_portfolio`); single strategies
-    and ``jobs=1`` use the serial path below unchanged.
-
     Note that ``"auto"`` with the default ``max_layers`` bound is sound but
     not complete: a negative answer means that no partition with at most
     ``max_layers`` layers was found, not that none exists.
     """
-    if engine is not None and jobs != 1:
-        raise ValueError("pass either jobs>1 or an engine, not both")
     if context is None:
         context = AnalysisContext(protocol)
-    owned_engine = False
-    if engine is None and jobs > 1:
-        from repro.engine.scheduler import VerificationEngine
-
-        engine = VerificationEngine(jobs=jobs)
-        owned_engine = True
-    if engine is not None and engine.parallel and strategy == "auto":
-        try:
-            return _check_layered_termination_portfolio(
-                protocol, engine, max_layers, materialize_rankings, theory, backend, context,
-                incremental=incremental,
-            )
-        finally:
-            if owned_engine:
-                engine.shutdown()
-    if owned_engine:
-        engine.shutdown()
-
     start = time.perf_counter()
-    statistics: dict = {
-        "strategy": None,
-        "backend": resolve_backend_name(backend),
-        "incremental": resolve_incremental(incremental),
-    }
+    statistics: dict = {"strategy": None, "backend": resolve_backend_name(backend)}
 
     def finish(result: LayeredTerminationResult, used_strategy: str) -> LayeredTerminationResult:
         statistics["strategy"] = used_strategy
@@ -783,8 +539,7 @@ def check_layered_termination_impl(
 
     if strategy in ("auto", "smt"):
         partition = smt_partition_search(
-            protocol, max_layers=max_layers, theory=theory, backend=backend, context=context,
-            incremental=incremental,
+            protocol, max_layers=max_layers, theory=theory, backend=backend, context=context
         )
         if partition is not None:
             result = check_partition(
@@ -812,8 +567,6 @@ def check_layered_termination(
     max_layers: int | None = None,
     materialize_rankings: bool = False,
     theory: str = "auto",
-    jobs: int = 1,
-    engine=None,
     backend: str | None = None,
 ) -> LayeredTerminationResult:
     """Deprecated: use :class:`repro.api.Verifier` instead.
@@ -836,7 +589,5 @@ def check_layered_termination(
         max_layers=max_layers,
         materialize_rankings=materialize_rankings,
         theory=theory,
-        jobs=jobs,
-        engine=engine,
         backend=backend,
     )

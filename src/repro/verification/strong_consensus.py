@@ -44,7 +44,6 @@ the ablation benchmark and for small protocols).
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.constraints.backends import create_solver, resolve_backend_name
@@ -54,7 +53,7 @@ from repro.constraints.builders import (  # noqa: F401  (re-exported legacy surf
     terminal_support_patterns,
 )
 from repro.constraints.context import AnalysisContext
-from repro.constraints.incremental import ScopedSimplifier, bump, resolve_incremental
+from repro.constraints.incremental import ScopedSimplifier, bump
 from repro.constraints.simplify import SimplifyStats
 from repro.constraints.simplify_cache import simplify_system_cached
 from repro.engine import monitor
@@ -131,11 +130,8 @@ def check_strong_consensus_impl(
     strategy: str = "auto",
     max_refinements: int = 10_000,
     max_pattern_pairs: int = 250_000,
-    jobs: int = 1,
-    engine=None,
     backend: str | None = None,
     context: AnalysisContext | None = None,
-    incremental: bool | None = None,
 ) -> StrongConsensusResult:
     """Decide StrongConsensus with the trap/siphon refinement loop of Section 6.
 
@@ -149,26 +145,12 @@ def check_strong_consensus_impl(
     an optional shared :class:`AnalysisContext` — a
     :class:`repro.api.Verifier` session passes the same one to every
     property check of a protocol.
-
-    With ``jobs > 1`` (or a parallel ``engine``, a
-    :class:`repro.engine.scheduler.VerificationEngine`), the independent
-    pattern pairs of the ``"patterns"`` strategy are fanned out over worker
-    processes; ``jobs=1`` runs the single-process persistent-solver path
-    unchanged.  Verdicts and counterexamples are identical either way.
     """
     start = time.perf_counter()
     if strategy not in ("auto", "patterns", "monolithic"):
         raise ValueError(f"unknown StrongConsensus strategy {strategy!r}")
-    if engine is not None and jobs != 1:
-        raise ValueError("pass either jobs>1 or an engine, not both")
     if context is None:
         context = AnalysisContext(protocol)
-    owned_engine = False
-    if engine is None and jobs > 1:
-        from repro.engine.scheduler import VerificationEngine
-
-        engine = VerificationEngine(jobs=jobs)
-        owned_engine = True
     chosen = strategy
     patterns: list[TerminalPattern] | None = None
     if strategy in ("auto", "patterns"):
@@ -181,26 +163,14 @@ def check_strong_consensus_impl(
         else:
             chosen = "patterns"
 
-    try:
-        if chosen == "patterns":
-            if engine is not None and engine.parallel:
-                result = _check_with_patterns_engine(
-                    protocol, true_patterns, false_patterns, theory, max_refinements, engine,
-                    backend, context, incremental=incremental,
-                )
-            else:
-                result = _check_with_patterns(
-                    protocol, true_patterns, false_patterns, theory, max_refinements,
-                    backend, context, incremental=incremental,
-                )
-        else:
-            result = _check_monolithic(protocol, theory, max_refinements, backend, context)
-    finally:
-        if owned_engine:
-            engine.shutdown()
+    if chosen == "patterns":
+        result = _check_with_patterns(
+            protocol, true_patterns, false_patterns, theory, max_refinements, backend, context
+        )
+    else:
+        result = _check_monolithic(protocol, theory, max_refinements, backend, context)
     result.statistics["strategy"] = chosen
     result.statistics["backend"] = resolve_backend_name(backend)
-    result.statistics.setdefault("incremental", resolve_incremental(incremental))
     result.statistics["time"] = time.perf_counter() - start
     if patterns is not None:
         result.statistics["patterns"] = len(patterns)
@@ -213,10 +183,7 @@ def check_strong_consensus(
     strategy: str = "auto",
     max_refinements: int = 10_000,
     max_pattern_pairs: int = 250_000,
-    jobs: int = 1,
-    engine=None,
     backend: str | None = None,
-    incremental: bool | None = None,
 ) -> StrongConsensusResult:
     """Deprecated: use :class:`repro.api.Verifier` instead.
 
@@ -238,35 +205,13 @@ def check_strong_consensus(
         strategy=strategy,
         max_refinements=max_refinements,
         max_pattern_pairs=max_pattern_pairs,
-        jobs=jobs,
-        engine=engine,
         backend=backend,
-        incremental=incremental,
     )
 
 
 # ----------------------------------------------------------------------
 # Strategy 1: terminal-support-pattern enumeration
 # ----------------------------------------------------------------------
-
-
-def _consensus_variables(builder: ConstraintBuilder) -> tuple:
-    """The shared variable families ``(c0, c1, c2, x1, x2)`` of Appendix D.2."""
-    return builder.consensus_variables()
-
-
-def _assert_consensus_base(
-    builder: ConstraintBuilder, solver, variables: tuple, simplifier: SimplifyStats | None = None
-) -> None:
-    """Assert the pair-independent block (initial population, non-negativity).
-
-    Bound tightening stays off: the persistent solver reuses this block
-    across the whole pattern sweep, and folding the off-initial constraints
-    into bounds would perturb the theory backend's solution trajectory —
-    the refinement sequence must stay reproducible across worker counts.
-    """
-    system = builder.consensus_base_system(variables)
-    simplify_system_cached(system, tighten_bounds=False, simplifier=simplifier).assert_into(solver)
 
 
 def _general_consensus_cuts(
@@ -296,43 +241,32 @@ def _check_with_patterns(
     false_patterns: list[TerminalPattern],
     theory: str,
     max_refinements: int,
-    backend: str | None = None,
-    context: AnalysisContext | None = None,
-    incremental: bool | None = None,
+    backend: str | None,
+    context: AnalysisContext,
 ) -> StrongConsensusResult:
-    if context is None:
-        context = AnalysisContext(protocol)
     builder = context.builder
     refinements: list[RefinementStep] = []
     simplifier = SimplifyStats()
     statistics = {"iterations": 0, "traps": 0, "siphons": 0, "pattern_pairs": 0, "solver_instances": 1}
-    use_incremental = resolve_incremental(incremental)
-    statistics["incremental"] = use_incremental
 
-    # One persistent solver for all pattern pairs.  The pair-independent
-    # constraints (initial configuration, flow non-negativity) are asserted
-    # once; the per-pair constraints live in a push/pop scope.  Learned
-    # lemmas — blocking clauses and memoized theory checks over the shared
-    # atoms — survive across pairs, so later pairs start warm.
+    # One persistent solver for all pattern pairs.  The base block (initial
+    # configuration, flow non-negativity) and every cut discovered so far
+    # live at base level, in general form; a pair's scope carries only its
+    # pattern membership and output formulas.  Learned lemmas — blocking
+    # clauses and memoized theory checks over the shared atoms — survive
+    # across pairs, so later pairs start warm.  The ScopedSimplifier mirrors
+    # the solver's scope stack and dedups/subsumes deltas online instead of
+    # re-simplifying the full pair system per pair.
     solver = create_solver(backend, theory=theory)
     variables = builder.consensus_variables()
     c0, c1, c2, x1, x2 = variables
+    scoped = ScopedSimplifier(
+        builder.consensus_base_system(variables), tighten_bounds=False, stats=simplifier
+    )
+    scoped.system.assert_into(solver)
 
-    scoped: ScopedSimplifier | None = None
     pattern_memo: dict[tuple[int, TerminalPattern], object] = {}
     output_memo = {1: builder.has_output(c1, 1), 0: builder.has_output(c2, 0)}
-    if use_incremental:
-        # Incremental path: the base block and every cut discovered so far
-        # live at base level (in general form); a pair's scope carries only
-        # its pattern membership and output formulas.  The ScopedSimplifier
-        # mirrors the solver's scope stack and dedups/subsumes deltas online
-        # instead of re-simplifying the full pair system per pair.
-        scoped = ScopedSimplifier(
-            builder.consensus_base_system(variables), tighten_bounds=False, stats=simplifier
-        )
-        scoped.system.assert_into(solver)
-    else:
-        _assert_consensus_base(builder, solver, variables, simplifier)
 
     def promote_cuts(new_steps: list[RefinementStep]) -> None:
         """Assert a pair's newly discovered cuts once, at base level.
@@ -379,11 +313,17 @@ def _check_with_patterns(
         )
         return result.status is not SolverStatus.UNSAT
 
+    def finish(result: StrongConsensusResult) -> StrongConsensusResult:
+        statistics["solver"] = dict(solver.statistics)
+        statistics["simplifier"] = simplifier.to_dict()
+        statistics["scoped_simplifier"] = scoped.savings_summary()
+        return result
+
     for pattern_true in true_patterns:
         true_side_ok = side_feasible(c1, pattern_true, 1)
         for pattern_false in false_patterns:
-            # Cooperative checkpoint of the serial sweep: a cancelled
-            # service job stops between pattern pairs.
+            # Cooperative checkpoint: a cancelled service job stops between
+            # pattern pairs.
             monitor.check_cancelled()
             statistics["pattern_pairs"] += 1
             if not true_side_ok or not side_feasible(c2, pattern_false, 0):
@@ -391,46 +331,36 @@ def _check_with_patterns(
                 continue
             pair_start = len(refinements)
             solver.push()
-            if scoped is not None:
-                scoped.push()
+            scoped.push()
             try:
                 outcome = _solve_pattern_pair(
                     protocol,
                     builder,
                     solver,
-                    (c0, c1, c2, x1, x2),
+                    variables,
                     pattern_true,
                     pattern_false,
                     max_refinements,
                     refinements,
                     statistics,
-                    context=context,
-                    simplifier=simplifier,
-                    scoped=scoped,
-                    delta_formulas=pair_delta(pattern_true, pattern_false) if scoped else None,
+                    context,
+                    scoped,
+                    pair_delta(pattern_true, pattern_false),
                 )
             finally:
                 solver.pop()
-                if scoped is not None:
-                    scoped.pop()
-            if scoped is not None:
-                promote_cuts(refinements[pair_start:])
+                scoped.pop()
+            promote_cuts(refinements[pair_start:])
             if outcome is not None:
-                statistics["solver"] = dict(solver.statistics)
-                statistics["simplifier"] = simplifier.to_dict()
-                if scoped is not None:
-                    statistics["scoped_simplifier"] = scoped.savings_summary()
-                return StrongConsensusResult(
-                    holds=False,
-                    counterexample=outcome,
-                    refinements=refinements,
-                    statistics=statistics,
+                return finish(
+                    StrongConsensusResult(
+                        holds=False,
+                        counterexample=outcome,
+                        refinements=refinements,
+                        statistics=statistics,
+                    )
                 )
-    statistics["solver"] = dict(solver.statistics)
-    statistics["simplifier"] = simplifier.to_dict()
-    if scoped is not None:
-        statistics["scoped_simplifier"] = scoped.savings_summary()
-    return StrongConsensusResult(holds=True, refinements=refinements, statistics=statistics)
+    return finish(StrongConsensusResult(holds=True, refinements=refinements, statistics=statistics))
 
 
 def _solve_pattern_pair(
@@ -443,34 +373,22 @@ def _solve_pattern_pair(
     max_refinements: int,
     refinements: list[RefinementStep],
     statistics: dict,
-    context: AnalysisContext | None = None,
-    simplifier: SimplifyStats | None = None,
-    scoped: ScopedSimplifier | None = None,
-    delta_formulas: list | None = None,
+    context: AnalysisContext,
+    scoped: ScopedSimplifier,
+    delta_formulas: list,
 ) -> StrongConsensusCounterexample | None:
     """Run the refinement loop for one pattern pair inside an open scope.
 
-    Non-incremental (``scoped is None``): the per-pair block — pattern
-    memberships, output presence and the trap/siphon constraints discovered
-    while solving earlier pairs (they are valid refinements of Definition 12
-    for any pair and often cut the counterexample space immediately) — is
-    built as one IR system and simplified (without bound tightening: the
-    scope is retractable, bounds are not) before being asserted.
-
-    Incremental (``scoped`` given): earlier pairs' cuts already live at base
-    level in general form, so the scope's delta is just ``delta_formulas``
-    (pattern memberships + output presence), normalised against the
-    persistent index; cuts found *during* this pair are asserted in general
-    form inside the scope (the caller re-promotes them to base after pop).
+    Earlier pairs' cuts already live at base level in general form, so the
+    scope's delta is just ``delta_formulas`` (pattern memberships + output
+    presence), normalised against the persistent index; cuts found *during*
+    this pair are asserted inside the scope (the caller re-promotes them to
+    base after pop).
     """
     c0, c1, c2, x1, x2 = variables
-    supports = context.transition_supports if context is not None else None
-    if scoped is not None:
-        for formula in scoped.add_delta(*delta_formulas):
-            solver.add(formula)
-    else:
-        system = builder.consensus_pair_system(variables, pattern_true, pattern_false, refinements)
-        simplify_system_cached(system, tighten_bounds=False, simplifier=simplifier).assert_into(solver)
+    supports = context.transition_supports
+    for formula in scoped.add_delta(*delta_formulas):
+        solver.add(formula)
 
     for _ in range(max_refinements):
         statistics["iterations"] += 1
@@ -502,306 +420,26 @@ def _solve_pattern_pair(
         refinements.append(step)
         statistics["traps" if step.kind == "trap" else "siphons"] += 1
         monitor.emit_refinement_found(step.kind, step.states, step.iteration)
-        # Incremental: cuts are asserted in the form that is cheapest for
-        # the solver.  When the trap misses the pair's allowed support the
-        # specialized constraint collapses to a two-literal clause (FALSE
-        # consequent) — pruning the general form only recovers through
-        # repeated theory checks.  Otherwise the general form is used: it
-        # is textually identical across pairs and iterations, so the
-        # solver's memoized theory checks stay warm, and it matches the cut
-        # later promoted to base level.
-        if scoped is not None:
-            for target, flow, pattern in ((c1, x1, pattern_true), (c2, x2, pattern_false)):
-                if step.kind == "trap" and not (set(step.states) & set(pattern.allowed)):
-                    cut = builder.refinement_constraint(
-                        step, c0, target, flow, target_support=pattern.allowed
-                    )
-                else:
-                    cut = builder.refinement_constraint(step, c0, target, flow)
-                for formula in scoped.add_delta(cut):
-                    solver.add(formula)
-        else:
-            solver.add(
-                builder.refinement_constraint(step, c0, c1, x1, target_support=pattern_true.allowed)
-            )
-            solver.add(
-                builder.refinement_constraint(step, c0, c2, x2, target_support=pattern_false.allowed)
-            )
+        # Cuts are asserted in the form that is cheapest for the solver.
+        # When the trap misses the pair's allowed support the specialized
+        # constraint collapses to a two-literal clause (FALSE consequent) —
+        # pruning the general form only recovers through repeated theory
+        # checks.  Otherwise the general form is used: it is textually
+        # identical across pairs and iterations, so the solver's memoized
+        # theory checks stay warm, and it matches the cut later promoted to
+        # base level.
+        for target, flow, pattern in ((c1, x1, pattern_true), (c2, x2, pattern_false)):
+            if step.kind == "trap" and not (set(step.states) & set(pattern.allowed)):
+                cut = builder.refinement_constraint(
+                    step, c0, target, flow, target_support=pattern.allowed
+                )
+            else:
+                cut = builder.refinement_constraint(step, c0, target, flow)
+            for formula in scoped.add_delta(cut):
+                solver.add(formula)
     raise RuntimeError(
         f"StrongConsensus refinement did not converge within {max_refinements} iterations"
     )
-
-
-# ----------------------------------------------------------------------
-# Pattern pairs as engine subproblems
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class PairOutcome:
-    """Worker-side outcome of one pattern-pair subproblem.
-
-    ``verdict`` is ``"unsat"`` (the pair admits no counterexample),
-    ``"sat"`` (a genuine counterexample exists) or ``"pruned"`` (one side of
-    the pair is infeasible on its own, so the pair was never solved).
-    ``new_refinements`` are the trap/siphon steps discovered beyond the
-    seeded ones — the coordinator merges them and seeds later waves.
-    """
-
-    verdict: str
-    new_refinements: list[RefinementStep]
-    statistics: dict
-    counterexample: StrongConsensusCounterexample | None = None
-
-
-#: Per-process memo of side-feasibility answers, keyed by protocol content
-#: hash.  The same (pattern, output) side recurs across the pairs a worker
-#: solves; feasibility is a mathematical property of the side alone, so the
-#: cached answer is exactly what a fresh solver would compute.  Bounded
-#: (FIFO) so a long-lived worker pool cannot grow without limit.
-_SIDE_FEASIBILITY_CACHE: dict[tuple, bool] = {}
-_MAX_SIDE_FEASIBILITY_CACHE = 4096
-
-
-def _side_is_feasible(
-    builder: ConstraintBuilder,
-    solver,
-    c0: dict,
-    flow_config: dict,
-    pattern: TerminalPattern,
-    output: int,
-    cache_key: tuple | None,
-) -> bool:
-    if cache_key is not None:
-        cached = _SIDE_FEASIBILITY_CACHE.get(cache_key)
-        if cached is not None:
-            return cached
-    result = solver.check_conjunction(
-        [
-            builder.initial(c0),
-            builder.non_negative(flow_config),
-            builder.pattern(flow_config, pattern),
-            builder.has_output(flow_config, output),
-        ]
-    )
-    feasible = result.status is not SolverStatus.UNSAT
-    if cache_key is not None:
-        if len(_SIDE_FEASIBILITY_CACHE) >= _MAX_SIDE_FEASIBILITY_CACHE:
-            _SIDE_FEASIBILITY_CACHE.pop(next(iter(_SIDE_FEASIBILITY_CACHE)))
-        _SIDE_FEASIBILITY_CACHE[cache_key] = feasible
-    return feasible
-
-
-def solve_pattern_pair_subproblem(
-    protocol: PopulationProtocol,
-    pattern_true: TerminalPattern,
-    pattern_false: TerminalPattern,
-    seed_refinements: Iterable[RefinementStep],
-    theory: str = "auto",
-    max_refinements: int = 10_000,
-    protocol_key: str | None = None,
-    backend: str | None = None,
-    context: AnalysisContext | None = None,
-    incremental: bool | None = None,
-) -> PairOutcome:
-    """Solve one pattern pair in isolation (the worker-process entry point).
-
-    A fresh solver is built per pair, so the outcome — verdict, discovered
-    refinements, counterexample model — depends only on the arguments, never
-    on which other subproblems the hosting process solved before.  That is
-    what makes parallel runs reproducible: the coordinator's wave plan fixes
-    every seed, so scheduling timing cannot leak into the results.
-
-    In incremental mode the seeded cuts are asserted once at base level in
-    general form (see :func:`_general_consensus_cuts`) and the pair's
-    pattern/output block lives in a scoped delta — the same shape as the
-    serial persistent-solver path, so verdicts are identical.
-    """
-    if context is None:
-        context = AnalysisContext(protocol)
-    builder = context.builder
-    solver = create_solver(backend, theory=theory)
-    variables = builder.consensus_variables()
-    c0, c1, c2, _x1, _x2 = variables
-    statistics = {"iterations": 0, "traps": 0, "siphons": 0}
-    use_incremental = resolve_incremental(incremental)
-
-    backend_name = resolve_backend_name(backend)
-    true_key = (protocol_key, backend_name, theory, "true", pattern_true) if protocol_key else None
-    false_key = (protocol_key, backend_name, theory, "false", pattern_false) if protocol_key else None
-    if not _side_is_feasible(builder, solver, c0, c1, pattern_true, 1, true_key) or not (
-        _side_is_feasible(builder, solver, c0, c2, pattern_false, 0, false_key)
-    ):
-        return PairOutcome(verdict="pruned", new_refinements=[], statistics=statistics)
-
-    refinements = list(seed_refinements)
-    seeded = len(refinements)
-    scoped: ScopedSimplifier | None = None
-    delta_formulas: list | None = None
-    if use_incremental:
-        scoped = ScopedSimplifier(builder.consensus_base_system(variables), tighten_bounds=False)
-        scoped.system.assert_into(solver)
-        for step in refinements:
-            for cut in _general_consensus_cuts(builder, variables, step):
-                for formula in scoped.add_delta(cut):
-                    solver.add(formula)
-        solver.push()
-        scoped.push()
-        delta_formulas = [
-            builder.pattern(c1, pattern_true),
-            builder.pattern(c2, pattern_false),
-            builder.has_output(c1, 1),
-            builder.has_output(c2, 0),
-        ]
-    else:
-        _assert_consensus_base(builder, solver, variables)
-    try:
-        counterexample = _solve_pattern_pair(
-            protocol,
-            builder,
-            solver,
-            variables,
-            pattern_true,
-            pattern_false,
-            max_refinements,
-            refinements,
-            statistics,
-            context=context,
-            scoped=scoped,
-            delta_formulas=delta_formulas,
-        )
-    finally:
-        if scoped is not None:
-            solver.pop()
-            scoped.pop()
-            statistics["scoped_simplifier"] = scoped.savings_summary()
-    statistics["solver"] = dict(solver.statistics)
-    new_refinements = refinements[seeded:]
-    if counterexample is not None:
-        return PairOutcome(
-            verdict="sat",
-            new_refinements=new_refinements,
-            statistics=statistics,
-            counterexample=counterexample,
-        )
-    return PairOutcome(verdict="unsat", new_refinements=new_refinements, statistics=statistics)
-
-
-def consensus_pair_subproblems(
-    protocol: PopulationProtocol,
-    pairs: list[tuple[TerminalPattern, TerminalPattern]],
-    seed_refinements: list[RefinementStep],
-    theory: str,
-    max_refinements: int,
-    first_index: int,
-    protocol_data: dict,
-    protocol_key: str,
-    backend: str | None = None,
-    context_data: dict | None = None,
-    incremental: bool | None = None,
-) -> list:
-    """Package a slice of the pattern-pair enumeration as engine subproblems."""
-    from repro.engine.subproblem import Subproblem
-
-    return [
-        Subproblem(
-            kind="consensus-pair",
-            index=first_index + offset,
-            protocol_key=protocol_key,
-            protocol_data=protocol_data,
-            params={
-                "pattern_true": pattern_true,
-                "pattern_false": pattern_false,
-                "refinements": tuple(seed_refinements),
-                "theory": theory,
-                "max_refinements": max_refinements,
-                "backend": backend,
-                "context": context_data or {},
-                "incremental": incremental,
-            },
-        )
-        for offset, (pattern_true, pattern_false) in enumerate(pairs)
-    ]
-
-
-def _check_with_patterns_engine(
-    protocol: PopulationProtocol,
-    true_patterns: list[TerminalPattern],
-    false_patterns: list[TerminalPattern],
-    theory: str,
-    max_refinements: int,
-    engine,
-    backend: str | None = None,
-    context: AnalysisContext | None = None,
-    incremental: bool | None = None,
-) -> StrongConsensusResult:
-    """Fan the pattern pairs over the engine's worker pool, wave by wave.
-
-    Each wave dispatches ``jobs`` pairs seeded with every trap/siphon
-    refinement merged so far (cross-worker sharing through the
-    coordinator); new discoveries are merged back in deterministic pair
-    order, so the wave plan — and hence the result — is independent of
-    worker timing.  The first SAT pair stops dispatch and cancels queued
-    siblings; the counterexample itself is then re-derived by the serial
-    path, which both pins the reported model to the ``jobs=1`` one and
-    keeps falsification answers canonical across worker counts.  (The
-    serial re-run stops at its own first SAT pair, so it re-solves only the
-    pair prefix up to the counterexample — cheap, since falsified protocols
-    fail on an early pair.)
-
-    The coordinator's already-computed analysis artifacts travel to the
-    workers inside the subproblem envelopes (``params["context"]``), so no
-    worker re-enumerates terminal patterns.
-    """
-    from repro.engine.scheduler import run_refinement_sweep
-    from repro.io.serialization import protocol_to_dict
-
-    if context is None:
-        context = AnalysisContext(protocol)
-    pairs = [(t, f) for t in true_patterns for f in false_patterns]
-    protocol_data = protocol_to_dict(protocol)
-    protocol_key = context.protocol_key
-    context_data = context.export_data()
-    statistics = {
-        "iterations": 0,
-        "traps": 0,
-        "siphons": 0,
-        "pattern_pairs": 0,
-        "jobs": engine.jobs,
-        "waves": 0,
-        "solver_instances": 0,
-    }
-    sat_seen, refinements = run_refinement_sweep(
-        engine,
-        len(pairs),
-        lambda start, end, seed: consensus_pair_subproblems(
-            protocol,
-            pairs[start:end],
-            seed,
-            theory,
-            max_refinements,
-            start,
-            protocol_data,
-            protocol_key,
-            backend,
-            context_data,
-            incremental,
-        ),
-        statistics,
-    )
-
-    if sat_seen:
-        serial = _check_with_patterns(
-            protocol, true_patterns, false_patterns, theory, max_refinements, backend, context,
-            incremental=incremental,
-        )
-        serial.statistics["parallel"] = {
-            "jobs": engine.jobs,
-            "waves": statistics["waves"],
-            "fallback": "serial-rerun",
-        }
-        return serial
-    return StrongConsensusResult(holds=True, refinements=refinements, statistics=statistics)
 
 
 # ----------------------------------------------------------------------

@@ -77,17 +77,17 @@ def verify_ws3_impl(
     consensus_strategy: str = "auto",
     max_refinements: int = 10_000,
     max_pattern_pairs: int = 250_000,
-    jobs: int = 1,
-    engine=None,
     backend: str | None = None,
     context: AnalysisContext | None = None,
-    incremental: bool | None = None,
 ) -> WS3Result:
     """Decide membership of a protocol in WS³ (implementation).
 
     This is the non-deprecated decision procedure shared by the
     :class:`repro.api.verifier.Verifier` property checkers and the legacy
-    :func:`verify_ws3` shim.
+    :func:`verify_ws3` shim.  Both properties run sequentially in the
+    calling process, each as one refinement loop over a persistent solver;
+    parallelism lives one level up, where a batch verifies one protocol per
+    worker process (:meth:`repro.api.Verifier.check_many`).
 
     Parameters
     ----------
@@ -100,31 +100,11 @@ def verify_ws3_impl(
         The paper observes that StrongConsensus is usually cheaper than
         LayeredTermination; set this to run it first (the result is the same,
         only the time distribution changes).
-    jobs:
-        Number of worker processes for the parallel engine.  ``1`` (the
-        default) is the exact single-process path; ``jobs > 1`` fans the
-        independent subproblems of both properties — partition-search
-        strategies, terminal-pattern pairs — over a process pool, with
-        identical verdicts and counterexamples.
-    engine:
-        An existing :class:`repro.engine.scheduler.VerificationEngine` to
-        schedule on (its worker pool is reused and left running); mutually
-        exclusive with ``jobs > 1``, which creates a private engine for the
-        duration of the call.
     """
     start = time.perf_counter()
     strong_consensus: StrongConsensusResult | None = None
-
-    if engine is not None and jobs != 1:
-        raise ValueError("pass either jobs>1 or an engine, not both")
     if context is None:
         context = AnalysisContext(protocol)
-    owned_engine = False
-    if engine is None and jobs > 1:
-        from repro.engine.scheduler import VerificationEngine
-
-        engine = VerificationEngine(jobs=jobs)
-        owned_engine = True
 
     def run_consensus() -> StrongConsensusResult:
         return check_strong_consensus_impl(
@@ -133,10 +113,8 @@ def verify_ws3_impl(
             strategy=consensus_strategy,
             max_refinements=max_refinements,
             max_pattern_pairs=max_pattern_pairs,
-            engine=engine,
             backend=backend,
             context=context,
-            incremental=incremental,
         )
 
     def run_layered() -> LayeredTerminationResult:
@@ -146,23 +124,17 @@ def verify_ws3_impl(
             max_layers=max_layers,
             theory=theory,
             materialize_rankings=materialize_rankings,
-            engine=engine,
             backend=backend,
             context=context,
-            incremental=incremental,
         )
 
-    try:
-        if check_consensus_first:
+    if check_consensus_first:
+        strong_consensus = run_consensus()
+        layered = run_layered()
+    else:
+        layered = run_layered()
+        if layered.holds:
             strong_consensus = run_consensus()
-            layered = run_layered()
-        else:
-            layered = run_layered()
-            if layered.holds:
-                strong_consensus = run_consensus()
-    finally:
-        if owned_engine:
-            engine.shutdown()
 
     is_member = layered.holds and strong_consensus is not None and strong_consensus.holds
     elapsed = time.perf_counter() - start
@@ -173,7 +145,6 @@ def verify_ws3_impl(
         "refinements": len(strong_consensus.refinements) if strong_consensus else 0,
         "num_states": protocol.num_states,
         "num_transitions": protocol.num_transitions,
-        "jobs": engine.jobs if engine is not None else 1,
     }
     return WS3Result(
         protocol_name=protocol.name,
@@ -191,13 +162,11 @@ def verify_ws3(
     max_layers: int | None = None,
     check_consensus_first: bool = False,
     materialize_rankings: bool = False,
-    jobs: int = 1,
-    engine=None,
     backend: str | None = None,
 ) -> WS3Result:
     """Deprecated: use :class:`repro.api.Verifier` instead.
 
-    ``Verifier(jobs=...).check(protocol, properties=["ws3"])`` returns a
+    ``Verifier().check(protocol, properties=["ws3"])`` returns a
     :class:`~repro.api.report.VerificationReport` with the same verdict,
     certificate and counterexample.  This shim delegates to the same
     implementation, so verdicts are identical.
@@ -215,7 +184,5 @@ def verify_ws3(
         max_layers=max_layers,
         check_consensus_first=check_consensus_first,
         materialize_rankings=materialize_rankings,
-        jobs=jobs,
-        engine=engine,
         backend=backend,
     )

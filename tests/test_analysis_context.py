@@ -84,30 +84,6 @@ class TestSessionSharing:
             assert context_a is context_b  # same content hash
 
 
-class TestExportHydrate:
-    def test_export_ships_only_computed_portables(self):
-        context = AnalysisContext(majority_protocol())
-        assert context.export_data() == {}
-        patterns = context.terminal_patterns
-        context.normal_form  # computed but not portable
-        assert context.export_data() == {"terminal_patterns": patterns}
-
-    def test_hydrate_prevents_recomputation(self):
-        protocol = majority_protocol()
-        source = AnalysisContext(protocol)
-        patterns = source.terminal_patterns
-        target = AnalysisContext(protocol).hydrate(source.export_data())
-        assert target.terminal_patterns is patterns
-        assert target.computes.get("terminal_patterns", 0) == 0
-        assert target.hydrated == {"terminal_patterns": 1}
-
-    def test_hydrate_ignores_unknown_and_tolerates_none(self):
-        context = AnalysisContext(majority_protocol())
-        context.hydrate(None)
-        context.hydrate({"bogus": 1})
-        assert context.computes == {} and context.hydrated == {}
-
-
 class TestLinearArtifacts:
     """Place invariants and the flow-equation basis (ISSUE 5 satellite)."""
 
@@ -151,23 +127,12 @@ class TestLinearArtifacts:
         assert context.computes.get("petri_net", 0) == 1
 
     def test_linear_artifacts_are_portable(self):
+        """The linear artifacts and patterns are plain, picklable values."""
         import pickle
 
         context = AnalysisContext(majority_protocol())
-        context.state_deltas
-        context.place_invariants
-        context.terminal_patterns
-        exported = context.export_data()
-        assert set(exported) == {"terminal_patterns", "state_deltas", "place_invariants"}
-        # Envelope round trip: what workers receive equals what was shipped.
-        revived = pickle.loads(pickle.dumps(exported))
-        assert revived["state_deltas"] == exported["state_deltas"]
-        assert revived["place_invariants"] == exported["place_invariants"]
-        target = AnalysisContext(majority_protocol()).hydrate(revived)
-        assert target.computes == {}
-        assert target.state_deltas == context.state_deltas
-        assert target.place_invariants == context.place_invariants
-        assert target.computes.get("state_deltas", 0) == 0
+        for artifact in (context.state_deltas, context.place_invariants, context.terminal_patterns):
+            assert pickle.loads(pickle.dumps(artifact)) == artifact
 
 
 class TestDeprecatedTrapsSiphonsShim:

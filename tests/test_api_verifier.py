@@ -125,8 +125,10 @@ class TestVerifierSessions:
     def test_session_reuses_one_engine_across_checks(self):
         with Verifier(jobs=2) as verifier:
             verifier.check(broadcast_protocol())
+            assert verifier.engine is None  # a single check never starts a pool
+            verifier.check_many([broadcast_protocol(), majority_protocol()])
             first = verifier.engine
-            verifier.check(majority_protocol())
+            verifier.check_many([majority_protocol(), coin_flip_protocol()])
             assert verifier.engine is first
             assert first.jobs == 2
         # closed on exit: a fresh parallel call would need a new session

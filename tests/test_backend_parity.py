@@ -126,47 +126,15 @@ def test_backend_recorded_in_report_options():
 
 
 # ----------------------------------------------------------------------
-# Incremental-IR parity (PR 9): the scoped-delta CEGAR loops must return
-# identical verdicts to rebuild-per-scope mode on every registered backend.
+# The refinement loops keep one persistent solver with scoped deltas and
+# base-level cut promotion; a violation they report must still be genuine.
 # ----------------------------------------------------------------------
-
-#: Families whose WS³ run exercises all three refinement loops quickly.
-INCREMENTAL_FAMILIES = [
-    ("threshold", lambda: threshold_protocol([1], 2)),
-    ("majority", majority_protocol),
-    ("flock_of_birds", lambda: flock_of_birds_protocol(3)),
-    ("faulty:coin_flip", coin_flip_protocol),
-    ("faulty:oscillating_majority", oscillating_majority_protocol),
-]
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize(
-    "name,factory", INCREMENTAL_FAMILIES, ids=[name for name, _ in INCREMENTAL_FAMILIES]
-)
-def test_incremental_verdicts_identical_per_backend(name, factory, backend):
-    """Incrementality on vs off: same WS³ verdict and per-part verdicts."""
-    reports = {}
-    for incremental in (True, False):
-        with Verifier(VerificationOptions(backend=backend, incremental=incremental)) as verifier:
-            reports[incremental] = verifier.check(factory(), properties=["ws3"])
-    assert reports[True].is_ws3 == reports[False].is_ws3, (
-        f"{backend} verdict differs with incrementality on {name}"
-    )
-    parts = {
-        incremental: [
-            (part.property, part.verdict.value)
-            for part in report.result_for("ws3").parts
-        ]
-        for incremental, report in reports.items()
-    }
-    assert parts[True] == parts[False], f"{backend} parts diverge on {name}"
 
 
 def test_incremental_counterexample_still_valid():
-    """A violation found incrementally is a genuine witness."""
+    """A violation found by the incremental loop is a genuine witness."""
     protocol = coin_flip_protocol()
-    with Verifier(VerificationOptions(incremental=True)) as verifier:
+    with Verifier(VerificationOptions()) as verifier:
         report = verifier.check(protocol, properties=["strong_consensus"])
     result = report.result_for("strong_consensus")
     assert not result.holds
@@ -180,11 +148,3 @@ def test_incremental_counterexample_still_valid():
         )
         valid, reason = check_potential_reachability(protocol, witness)
         assert valid, reason
-
-
-def test_incremental_flag_excluded_from_cache_snapshot():
-    """Like jobs, incrementality is execution-only: cache entries are shared."""
-    on = VerificationOptions(incremental=True).cache_snapshot()
-    off = VerificationOptions(incremental=False).cache_snapshot()
-    assert on == off
-    assert "incremental" not in on

@@ -1,4 +1,8 @@
-"""Tests for the parallel verification engine (scheduler, worker, envelopes)."""
+"""Tests for the batch verification engine (scheduler, worker, envelopes).
+
+The scheduler runs ``check-protocol`` subproblems — one whole protocol
+each, the unit a batch sends to the pool.
+"""
 
 from __future__ import annotations
 
@@ -6,43 +10,40 @@ import pickle
 
 import pytest
 
+from repro.api import VerificationOptions, VerificationReport
 from repro.datatypes.multiset import Multiset
 from repro.engine import EngineError, Subproblem, VerificationEngine
 from repro.engine.cache import protocol_content_hash
 from repro.engine.subproblem import (
+    KINDS,
     decode_consensus_counterexample,
     decode_partition,
     encode_consensus_counterexample,
     encode_partition,
 )
 from repro.io.serialization import protocol_to_dict
+from repro.protocols.library import (
+    broadcast_protocol,
+    coin_flip_protocol,
+    oscillating_majority_protocol,
+)
 from repro.protocols.protocol import OrderedPartition, Transition
 from repro.verification.results import RefinementStep, StrongConsensusCounterexample
 
 
-def _consensus_subproblems(protocol, count=None):
-    """All pattern-pair subproblems of a protocol, seeded empty."""
-    from repro.verification.strong_consensus import (
-        consensus_pair_subproblems,
-        terminal_support_patterns,
-    )
-
-    patterns = terminal_support_patterns(protocol)
-    true_patterns = [p for p in patterns if p.admits_output(protocol, 1)]
-    false_patterns = [p for p in patterns if p.admits_output(protocol, 0)]
-    pairs = [(t, f) for t in true_patterns for f in false_patterns]
-    if count is not None:
-        pairs = pairs[:count]
-    return consensus_pair_subproblems(
-        protocol,
-        pairs,
-        [],
-        "auto",
-        10_000,
-        0,
-        protocol_to_dict(protocol),
-        protocol_content_hash(protocol),
-    )
+def _check_subproblems(*protocols, properties=("layered_termination",)):
+    """One check-protocol subproblem per protocol, as a batch ships them."""
+    options = VerificationOptions().to_dict()
+    return [
+        Subproblem(
+            kind="check-protocol",
+            index=index,
+            protocol_key=protocol_content_hash(protocol),
+            protocol_data=protocol_to_dict(protocol),
+            params={"properties": list(properties), "options": options},
+        )
+        for index, protocol in enumerate(protocols)
+    ]
 
 
 class TestEnvelopes:
@@ -51,13 +52,15 @@ class TestEnvelopes:
             Subproblem(kind="nonsense", index=0, protocol_key="k", protocol_data={})
 
     def test_subproblems_pickle(self, majority_protocol):
-        subproblems = _consensus_subproblems(majority_protocol)
-        assert subproblems, "majority must have at least one pattern pair"
-        for subproblem in subproblems:
+        for subproblem in _check_subproblems(majority_protocol, coin_flip_protocol()):
             clone = pickle.loads(pickle.dumps(subproblem))
             assert clone.kind == subproblem.kind
             assert clone.protocol_key == subproblem.protocol_key
-            assert clone.params["pattern_true"] == subproblem.params["pattern_true"]
+            assert clone.protocol_data == subproblem.protocol_data
+            assert clone.params == subproblem.params
+
+    def test_only_whole_protocol_kinds_exist(self):
+        assert KINDS == ("check-protocol", "poison")
 
     def test_multiset_pickle_drops_cached_hash(self):
         multiset = Multiset({"a": 2, ("b", 1): 1})
@@ -104,18 +107,13 @@ class TestSchedulerSerial:
 
     def test_inline_results_in_input_order(self, majority_protocol):
         engine = VerificationEngine(jobs=1)
-        subproblems = _consensus_subproblems(majority_protocol)
+        subproblems = _check_subproblems(
+            majority_protocol, oscillating_majority_protocol(), broadcast_protocol()
+        )
         results = engine.run_wave(subproblems)
         assert [r.index for r in results] == [s.index for s in subproblems]
-        assert all(r.verdict in ("unsat", "sat", "pruned") for r in results)
-
-    def test_inline_stop_on_skips_the_rest(self, majority_protocol):
-        engine = VerificationEngine(jobs=1)
-        subproblems = _consensus_subproblems(majority_protocol) * 3
-        results = engine.run_wave(subproblems, stop_on=lambda result: True)
-        assert results[0] is not None
-        assert all(result is None for result in results[1:])
-        assert engine.statistics["cancelled"] == len(subproblems) - 1
+        assert [r.verdict for r in results] == ["holds", "fails", "holds"]
+        assert engine._executor is None
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError):
@@ -124,10 +122,17 @@ class TestSchedulerSerial:
 
 class TestSchedulerParallel:
     def test_pool_results_in_input_order(self, majority_protocol):
+        subproblems = _check_subproblems(
+            majority_protocol, oscillating_majority_protocol(), broadcast_protocol()
+        )
         with VerificationEngine(jobs=2) as engine:
-            subproblems = _consensus_subproblems(majority_protocol)
             results = engine.run_wave(subproblems)
         assert [r.index for r in results] == [s.index for s in subproblems]
+        assert [r.verdict for r in results] == ["holds", "fails", "holds"]
+        reports = [VerificationReport.from_dict(r.data["report"]) for r in results]
+        assert [report.protocol_hash for report in reports] == [
+            s.protocol_key for s in subproblems
+        ]
 
     def test_poisoned_worker_raises_clean_error(self):
         """A worker dying mid-subproblem is an EngineError, not a hang."""
@@ -141,8 +146,9 @@ class TestSchedulerParallel:
             poison = Subproblem(kind="poison", index=0, protocol_key="k", protocol_data={})
             with pytest.raises(EngineError):
                 engine.run_wave([poison])
-            results = engine.run_wave(_consensus_subproblems(majority_protocol, count=1))
-            assert results[0] is not None
+            results = engine.run_wave(_check_subproblems(majority_protocol))
+            assert results[0].verdict == "holds"
+            assert engine.statistics["worker_deaths"] == 1
 
     def test_worker_exception_propagates(self):
         with VerificationEngine(jobs=2, wave_timeout=60) as engine:
@@ -151,21 +157,3 @@ class TestSchedulerParallel:
             )
             with pytest.raises(RuntimeError, match="poisoned subproblem"):
                 engine.run_wave([bad])
-
-    def test_failed_peer_does_not_mask_a_decisive_result(self, majority_protocol):
-        """A peer that fails past the stopping point must not hide the verdict.
-
-        The serial order would never have solved the failing subproblem (it
-        sits after the decisive one), so its error is dropped, exactly like
-        a cancelled sibling.
-        """
-        decisive = _consensus_subproblems(majority_protocol, count=1)[0]
-        bad = Subproblem(
-            kind="poison", index=1, protocol_key="k", protocol_data={}, params={"mode": "raise"}
-        )
-        with VerificationEngine(jobs=2, wave_timeout=60) as engine:
-            results = engine.run_wave([decisive, bad], stop_on=lambda result: True)
-            assert results[0] is not None
-            assert results[1] is None
-            dropped = engine.statistics["cancelled"] + engine.statistics["failed_after_stop"]
-            assert dropped == 1

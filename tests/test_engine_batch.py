@@ -1,12 +1,27 @@
-"""Tests for the batch front end (verify_many + result cache integration)."""
+"""Tests for the batch front end (verify_many, check_many, result cache).
+
+The parity tests pin the one-path design: a batch on two workers (one
+``check-protocol`` subproblem per protocol) returns the same reports —
+verdicts, certificates, refinement lists and counterexamples — as the same
+batch on one process, because each worker runs the same serial check.
+"""
 
 from __future__ import annotations
 
+import pytest
+
+from repro.api import Verifier
 from repro.engine import ResultCache, verify_many
 from repro.protocols.library import (
     broadcast_protocol,
     coin_flip_protocol,
+    exclusive_majority_protocol,
+    flock_of_birds_protocol,
+    flock_of_birds_threshold_n_protocol,
     majority_protocol,
+    oscillating_majority_protocol,
+    remainder_protocol,
+    threshold_protocol,
 )
 
 
@@ -57,3 +72,79 @@ class TestVerifyMany:
         batch = verify_many([broadcast_protocol()], cache=cache)
         assert cache.statistics["hits"] == 1
         assert batch.items[0].from_cache
+
+
+# ----------------------------------------------------------------------
+# Batch parity: jobs=2 (one protocol per worker) must equal jobs=1
+# ----------------------------------------------------------------------
+
+PARITY_FAMILIES = [
+    ("majority", majority_protocol),
+    ("broadcast", broadcast_protocol),
+    ("flock-of-birds-4", lambda: flock_of_birds_protocol(4)),
+    ("flock-of-birds-threshold-n-5", lambda: flock_of_birds_threshold_n_protocol(5)),
+    ("remainder-3", lambda: remainder_protocol([1], 3, 1)),
+    ("threshold", lambda: threshold_protocol([1, -1], 0)),
+    ("exclusive-majority", exclusive_majority_protocol),
+    ("coin-flip", coin_flip_protocol),
+    ("oscillating-majority", oscillating_majority_protocol),
+]
+PARITY_IDS = [name for name, _ in PARITY_FAMILIES]
+
+
+def _without_statistics(payload):
+    """A report dictionary minus timings and counters (verdicts and artifacts stay)."""
+    if isinstance(payload, dict):
+        return {
+            key: _without_statistics(value)
+            for key, value in payload.items()
+            if key not in ("statistics", "options")
+        }
+    if isinstance(payload, list):
+        return [_without_statistics(value) for value in payload]
+    return payload
+
+
+def _batch_reports(jobs: int, protocols, properties) -> list[dict]:
+    with Verifier(jobs=jobs) as verifier:
+        batch = verifier.check_many(protocols, properties=properties)
+    return [_without_statistics(item.report.to_dict()) for item in batch]
+
+
+@pytest.fixture(scope="module")
+def ws3_batches():
+    """One jobs=1 and one jobs=2 batch over every parity family."""
+    protocols = [factory() for _, factory in PARITY_FAMILIES]
+    return _batch_reports(1, protocols, ["ws3"]), _batch_reports(2, protocols, ["ws3"])
+
+
+class TestBatchParity:
+    @pytest.mark.parametrize("position", range(len(PARITY_FAMILIES)), ids=PARITY_IDS)
+    def test_ws3_reports_match(self, ws3_batches, position):
+        """Verdicts, certificates, refinement lists and counterexamples agree."""
+        serial, parallel = ws3_batches
+        assert parallel[position] == serial[position]
+
+    def test_parity_covers_both_failure_modes(self, ws3_batches):
+        serial, _ = ws3_batches
+        verdicts = {
+            name: {part["property"]: part["verdict"] for part in report["properties"][0]["parts"]}
+            for name, report in zip(PARITY_IDS, serial)
+        }
+        assert verdicts["coin-flip"]["strong_consensus"] == "fails"
+        assert verdicts["oscillating-majority"]["layered_termination"] == "fails"
+        consensus = serial[PARITY_IDS.index("coin-flip")]["properties"][0]["parts"][1]
+        assert consensus["counterexample"] is not None
+
+
+class TestSingleCheckIsSerial:
+    def test_jobs_do_not_start_a_pool_for_one_check(self):
+        """``jobs`` sizes the batch pool only; a single check never starts one."""
+        protocol = coin_flip_protocol()
+        with Verifier(jobs=2) as verifier:
+            parallel = verifier.check(protocol, properties=["ws3"])
+            assert verifier.engine is None
+        with Verifier(jobs=1) as verifier:
+            serial = verifier.check(protocol, properties=["ws3"])
+        assert _without_statistics(parallel.to_dict()) == _without_statistics(serial.to_dict())
+        assert parallel.statistics["jobs"] == serial.statistics["jobs"] == 1

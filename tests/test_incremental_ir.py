@@ -29,7 +29,6 @@ from repro.constraints.incremental import (
     ScopedSimplifier,
     SimplifyIndex,
     incremental_statistics,
-    resolve_incremental,
 )
 from repro.constraints.ir import ConstraintSystem
 from repro.constraints.simplify import simplify_system
@@ -98,6 +97,16 @@ def test_tighten_intersects_bounds():
     assert system.tighten("u", lower=2) == (2, 10)
     assert system.tighten("u", upper=12) == (2, 10)  # looser upper is ignored
     assert system.tighten("u", lower=1, upper=5) == (2, 5)
+
+
+def test_empty_domain_of_an_unconstrained_variable_is_unsat():
+    """A tightened-away domain must reach the solver even with no constraint on it."""
+    system = ConstraintSystem("empty")
+    system.declare("u", 0, 10)
+    system.tighten("u", upper=-1)
+    solver = create_solver(None)
+    system.assert_into(solver)
+    assert solver.check().status is SolverStatus.UNSAT
 
 
 def test_scope_marks_feed_the_cache_key():
@@ -346,19 +355,8 @@ def test_direct_ilp_cores_survive_pops():
 
 
 # ----------------------------------------------------------------------
-# The escape hatch
+# Process-wide counters
 # ----------------------------------------------------------------------
-
-
-def test_resolve_incremental_override_and_env(monkeypatch):
-    monkeypatch.delenv("REPRO_INCREMENTAL", raising=False)
-    assert resolve_incremental(None) is True
-    assert resolve_incremental(False) is False
-    monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-    assert resolve_incremental(None) is False
-    assert resolve_incremental(True) is True
-    monkeypatch.setenv("REPRO_INCREMENTAL", "off")
-    assert resolve_incremental(None) is False
 
 
 def test_incremental_statistics_shape():
@@ -372,6 +370,6 @@ def test_incremental_statistics_shape():
         "cores_learned",
         "cores_retained_across_pops",
         "core_retention_rate",
-        "enabled_default",
     ):
         assert key in stats
+    assert "enabled_default" not in stats

@@ -103,12 +103,10 @@ class TestCLI:
             main(["family", "does-not-exist"])
 
     def test_verify_family_with_jobs(self, capsys):
-        from repro.api import VerificationReport
-
-        exit_code = main(["family", "broadcast", "--jobs", "2", "--json"])
-        report = VerificationReport.from_json(capsys.readouterr().out)
-        assert exit_code == 0
-        assert report.is_ws3
+        """``--jobs`` sizes batch pools only; a single check rejects it."""
+        with pytest.raises(SystemExit):
+            main(["family", "broadcast", "--jobs", "2"])
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 class TestBatchCLI:
@@ -170,7 +168,17 @@ class TestObservabilityCLI:
     def test_trace_flag_writes_single_rooted_chrome_trace(self, tmp_path, capsys):
         trace_path = tmp_path / "out.json"
         exit_code = main(
-            ["family", "broadcast", "--jobs", "2", "--trace", str(trace_path), "--json"]
+            [
+                "batch",
+                "majority",
+                "broadcast",
+                "--jobs",
+                "2",
+                "--no-cache",
+                "--trace",
+                str(trace_path),
+                "--json",
+            ]
         )
         captured = capsys.readouterr()
         assert exit_code == 0
@@ -182,9 +190,13 @@ class TestObservabilityCLI:
         assert events and all(event["ph"] == "X" for event in events)
         ids = {event["args"]["span_id"] for event in events}
         roots = [event for event in events if event["args"]["parent_id"] not in ids]
-        assert len(roots) == 1 and roots[0]["name"] == "job"
+        assert len(roots) == 1 and roots[0]["name"] == "batch"
         names = {event["name"] for event in events}
-        assert {"job", "property", "engine.wave", "subproblem"} <= names
+        assert {"batch", "job", "property", "engine.wave", "subproblem"} <= names
+        engine_pids = {
+            event["pid"] for event in events if event["name"] in ("engine.wave", "subproblem")
+        }
+        assert len(engine_pids) >= 2
 
     def test_trace_subcommand_pretty_prints(self, tmp_path, capsys):
         trace_path = tmp_path / "out.json"

@@ -3,8 +3,9 @@
 The load-bearing property is the *single rooted tree*: a traced run with a
 process pool must produce one connected span tree — worker-side spans ship
 home in result envelopes and are re-parented under the coordinator's span
-at harvest.  The cross-process test drives a real ``jobs=2`` verification
-through the public API and asserts exactly that.
+at harvest.  The cross-process test drives a real ``jobs=2`` batch
+(``check_many``, one protocol per worker) through the public API and
+asserts exactly that.
 """
 
 from __future__ import annotations
@@ -130,30 +131,39 @@ class TestChromeTrace:
 
 class TestCrossProcessTree:
     def test_parallel_run_yields_one_connected_tree(self):
-        """jobs=2 + trace ⇒ a single rooted tree with worker-side spans."""
-        protocol = resolve_protocol_spec("majority")
+        """A jobs=2 traced batch ⇒ a single rooted tree with worker-side spans."""
+        protocols = [resolve_protocol_spec("majority"), resolve_protocol_spec("broadcast")]
         options = VerificationOptions(jobs=2, trace=True)
         with Verifier(options) as verifier:
-            report = verifier.check(protocol, properties=["ws3"])
-        assert report.ok
-        spans = report.statistics["trace"]
-        assert spans, "a traced run must embed its span tree"
+            batch = verifier.check_many(protocols, properties=["ws3"])
+        assert batch.all_ok
+        spans = batch.statistics["trace"]
+        assert spans, "a traced batch must embed its span tree"
         ids = _tree_ids(spans)
         assert len(ids) == len(spans)  # pid-seq ids are unique across the pool
 
         roots = _roots(spans)
         assert len(roots) == 1
-        assert roots[0]["name"] == "job"
+        assert roots[0]["name"] == "batch"
         # No orphans: every non-root parent id resolves within the tree.
         for span in spans:
             if span is not roots[0]:
                 assert span["parent_id"] in ids
 
-        # Worker spans actually crossed the process boundary.
-        pids = {span["pid"] for span in spans}
-        assert len(pids) >= 2, f"expected worker pids in the tree, got {pids}"
+        # Worker spans actually crossed the process boundary: the wave is
+        # the coordinator's, the subproblems are the workers'.
         names = {span["name"] for span in spans}
-        assert {"job", "property", "engine.wave", "subproblem"} <= names
+        assert {"batch", "engine.wave", "subproblem", "job", "property"} <= names
+        engine_pids = {
+            span["pid"] for span in spans if span["name"] in ("engine.wave", "subproblem")
+        }
+        assert len(engine_pids) >= 2, f"expected worker pids in the tree, got {engine_pids}"
+        by_id = {span["span_id"]: span for span in spans}
+        for span in spans:
+            if span["name"] == "subproblem":
+                assert by_id[span["parent_id"]]["name"] == "engine.wave"
+        # The per-protocol reports do not repeat the spans the batch holds.
+        assert all("trace" not in item.report.statistics for item in batch)
 
         # Within one worker, spans are recorded in close order: end
         # timestamps are monotone per (pid, tid) lane.

@@ -1,150 +1,85 @@
-"""Parallel vs. serial parity: jobs=4 must agree with jobs=1 everywhere.
+"""Parallel vs. serial parity for correctness batches and shared engines.
 
-The engine's wave plan is deterministic (fixed wave boundaries, refinements
-merged in pair order, counterexamples re-derived serially), so these tests
-are stable: a parallel run gives the same verdicts, the same
-counterexamples and — for every family below except threshold-n, where
-concurrently-seeded siblings legitimately discover a couple of extra
-trap/siphon facts — the same refinement counts as the serial run.
+Parallelism is per protocol: a batch on two workers sends one
+``check-protocol`` subproblem per protocol, and each worker runs the same
+serial check as ``jobs=1``.  So a parallel correctness batch must return the
+same reports — verdicts, refinement lists and counterexamples — as the
+serial one, and a caller-owned engine keeps its pool across batches.
 """
 
 from __future__ import annotations
 
-import pytest
-
+from repro.api import Verifier
 from repro.engine import VerificationEngine
 from repro.protocols.library import (
     broadcast_protocol,
     coin_flip_protocol,
-    exclusive_majority_protocol,
     flock_of_birds_protocol,
-    flock_of_birds_threshold_n_protocol,
     majority_protocol,
-    oscillating_majority_protocol,
-    remainder_protocol,
 )
-from repro.verification.correctness import check_correctness
-from repro.verification.layered_termination import check_layered_termination
-from repro.verification.strong_consensus import check_strong_consensus
-from repro.verification.ws3 import verify_ws3
 
-JOBS = 4
-
-EXACT_PARITY_FAMILIES = [
-    ("majority", majority_protocol),
-    ("broadcast", broadcast_protocol),
-    ("flock-of-birds-4", lambda: flock_of_birds_protocol(4)),
-    ("remainder-3", lambda: remainder_protocol([1], 3, 1)),
-    ("coin-flip", coin_flip_protocol),
-    ("oscillating-majority", oscillating_majority_protocol),
-    ("exclusive-majority", exclusive_majority_protocol),
-]
+JOBS = 2
 
 
-def _counterexamples_equal(first, second) -> bool:
-    if (first is None) != (second is None):
-        return False
-    if first is None:
-        return True
-    return (
-        first.initial == second.initial
-        and first.terminal_true == second.terminal_true
-        and first.terminal_false == second.terminal_false
-        and first.flow_true == second.flow_true
-        and first.flow_false == second.flow_false
-    )
+def _with_predicate(protocol, predicate):
+    protocol.metadata = dict(protocol.metadata)
+    protocol.metadata["predicate"] = predicate
+    return protocol
 
 
-class TestWS3Parity:
-    @pytest.mark.parametrize(
-        "name,factory", EXACT_PARITY_FAMILIES, ids=[name for name, _ in EXACT_PARITY_FAMILIES]
-    )
-    def test_identical_verdicts_counterexamples_and_refinements(self, name, factory):
-        protocol = factory()
-        serial = verify_ws3(protocol, check_consensus_first=True)
-        parallel = verify_ws3(protocol, check_consensus_first=True, jobs=JOBS)
-
-        assert parallel.is_ws3 == serial.is_ws3
-        assert parallel.layered_termination.holds == serial.layered_termination.holds
-        if serial.layered_termination.certificate is not None:
-            assert (
-                parallel.layered_termination.certificate.partition
-                == serial.layered_termination.certificate.partition
-            )
-            assert (
-                parallel.layered_termination.certificate.strategy
-                == serial.layered_termination.certificate.strategy
-            )
-        serial_sc, parallel_sc = serial.strong_consensus, parallel.strong_consensus
-        assert (parallel_sc is None) == (serial_sc is None)
-        if serial_sc is not None:
-            assert parallel_sc.holds == serial_sc.holds
-            assert _counterexamples_equal(parallel_sc.counterexample, serial_sc.counterexample)
-            assert len(parallel_sc.refinements) == len(serial_sc.refinements)
-            assert {(s.kind, s.states) for s in parallel_sc.refinements} == {
-                (s.kind, s.states) for s in serial_sc.refinements
-            }
-
-    def test_threshold_n_refinements_contain_the_serial_ones(self):
-        # Wave siblings of the threshold-n family discover a few extra (still
-        # valid) trap/siphon facts; the serial set must always be contained
-        # and the parallel run must be reproducible.
-        # The containment property is empirical for the smtlite trajectory,
-        # so the backend is pinned (the CI backend matrix must not shift it).
-        protocol = flock_of_birds_threshold_n_protocol(5)
-        serial = check_strong_consensus(protocol, backend="smtlite")
-        parallel = check_strong_consensus(protocol, jobs=JOBS, backend="smtlite")
-        repeat = check_strong_consensus(protocol, jobs=JOBS, backend="smtlite")
-        assert parallel.holds == serial.holds
-        serial_set = {(s.kind, s.states) for s in serial.refinements}
-        parallel_set = {(s.kind, s.states) for s in parallel.refinements}
-        assert serial_set <= parallel_set
-        assert {(s.kind, s.states) for s in repeat.refinements} == parallel_set
-        assert len(repeat.refinements) == len(parallel.refinements)
-
-
-class TestLayeredTerminationParity:
-    @pytest.mark.parametrize(
-        "name,factory", EXACT_PARITY_FAMILIES, ids=[name for name, _ in EXACT_PARITY_FAMILIES]
-    )
-    def test_portfolio_matches_serial_auto(self, name, factory):
-        protocol = factory()
-        serial = check_layered_termination(protocol)
-        parallel = check_layered_termination(protocol, jobs=JOBS)
-        assert parallel.holds == serial.holds
-        if serial.certificate is not None:
-            assert parallel.certificate.partition == serial.certificate.partition
-            assert parallel.certificate.strategy == serial.certificate.strategy
-        else:
-            assert parallel.reason == serial.reason
+def _correctness_batch(jobs: int, protocols) -> list:
+    with Verifier(jobs=jobs) as verifier:
+        batch = verifier.check_many(protocols, properties=["correctness"])
+    return [item.report.properties[0] for item in batch]
 
 
 class TestCorrectnessParity:
     def test_majority_predicate_parity(self):
-        protocol = majority_protocol()
-        predicate = protocol.metadata["predicate"]
-        serial = check_correctness(protocol, predicate)
-        parallel = check_correctness(protocol, predicate, jobs=JOBS)
-        assert parallel.holds == serial.holds
-        assert len(parallel.refinements) == len(serial.refinements)
+        protocols = [majority_protocol(), flock_of_birds_protocol(3)]
+        serial = _correctness_batch(1, protocols)
+        parallel = _correctness_batch(JOBS, protocols)
+        for serial_result, parallel_result in zip(serial, parallel):
+            assert serial_result.holds
+            assert parallel_result.holds == serial_result.holds
+            assert [(s.kind, s.states) for s in parallel_result.refinements] == [
+                (s.kind, s.states) for s in serial_result.refinements
+            ]
 
     def test_wrong_predicate_counterexample_parity(self):
-        protocol = majority_protocol()
-        predicate = ~protocol.metadata["predicate"]
-        serial = check_correctness(protocol, predicate)
-        parallel = check_correctness(protocol, predicate, jobs=JOBS)
-        assert not serial.holds and not parallel.holds
-        assert serial.counterexample is not None and parallel.counterexample is not None
-        assert parallel.counterexample.input_population == serial.counterexample.input_population
-        assert parallel.counterexample.terminal == serial.counterexample.terminal
-        assert parallel.counterexample.expected_output == serial.counterexample.expected_output
+        protocols = [
+            _with_predicate(majority_protocol(), ~majority_protocol().metadata["predicate"]),
+            _with_predicate(broadcast_protocol(), ~broadcast_protocol().metadata["predicate"]),
+        ]
+        serial = _correctness_batch(1, protocols)
+        parallel = _correctness_batch(JOBS, protocols)
+        for serial_result, parallel_result in zip(serial, parallel):
+            assert not serial_result.holds and not parallel_result.holds
+            assert serial_result.counterexample is not None
+            assert parallel_result.counterexample is not None
+            assert (
+                parallel_result.counterexample.input_population
+                == serial_result.counterexample.input_population
+            )
+            assert parallel_result.counterexample.terminal == serial_result.counterexample.terminal
+            assert (
+                parallel_result.counterexample.expected_output
+                == serial_result.counterexample.expected_output
+            )
 
 
 class TestSharedEngine:
     def test_one_engine_across_many_checks(self):
-        """A caller-owned engine is reused (its pool survives across calls)."""
-        with VerificationEngine(jobs=2) as engine:
-            first = verify_ws3(majority_protocol(), engine=engine)
-            second = verify_ws3(broadcast_protocol(), engine=engine)
-        assert first.is_ws3 and second.is_ws3
-        assert first.statistics["jobs"] == 2
+        """A caller-owned engine is reused (its pool survives across batches)."""
+        with VerificationEngine(jobs=JOBS) as engine:
+            verifier = Verifier(engine=engine)
+            first = verifier.check_many([majority_protocol(), broadcast_protocol()])
+            pool = engine._executor
+            second = verifier.check_many([coin_flip_protocol(), flock_of_birds_protocol(3)])
+            assert pool is not None and engine._executor is pool
+            verifier.close()
+            # the session does not own the engine, so closing it keeps the pool
+            assert engine._executor is pool
+        assert engine._executor is None
+        assert [item.report.is_ws3 for item in first] == [True, True]
+        assert [item.report.is_ws3 for item in second] == [False, True]
+        assert engine.statistics["subproblems"] >= 4

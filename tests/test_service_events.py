@@ -49,12 +49,12 @@ SAMPLES = [
     PropertyFinished(
         job_id="job-1", seq=3, timestamp=1234.8, property="ws3", protocol_name="majority", verdict="holds"
     ),
-    SubproblemDispatched(job_id="job-1", seq=4, timestamp=1234.9, kind="consensus-pair", index=3, wave=2),
+    SubproblemDispatched(job_id="job-1", seq=4, timestamp=1234.9, kind="check-protocol", index=3, wave=2),
     SubproblemCompleted(
         job_id="job-1",
         seq=5,
         timestamp=1235.0,
-        kind="consensus-pair",
+        kind="check-protocol",
         index=3,
         verdict="unsat",
         time_seconds=0.25,
@@ -63,11 +63,11 @@ SAMPLES = [
         job_id="job-1",
         seq=6,
         timestamp=1235.05,
-        kind="consensus-pair",
+        kind="check-protocol",
         index=3,
         attempt=2,
         delay_seconds=0.05,
-        reason="a worker process died while solving consensus-pair[3]",
+        reason="a worker process died while solving check-protocol[3]",
     ),
     RefinementFound(
         job_id="job-1", seq=6, timestamp=1235.1, refinement="trap", states=["'A'", "'B'"], iteration=4
