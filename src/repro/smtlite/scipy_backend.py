@@ -1,27 +1,43 @@
 """Theory backend based on scipy's HiGHS solvers.
 
-This backend decides conjunctions of linear integer constraints with
-``scipy.optimize.milp`` (branch-and-cut in HiGHS) and extracts conflict cores
-from the dual multipliers of an *elastic* LP relaxation.  It is considerably
-faster than the pure-Python exact backend on the larger constraint systems
-produced by the threshold/remainder/flock-of-birds benchmarks.
+This backend decides conjunctions of linear integer constraints with HiGHS
+branch-and-cut, driven through the ``_Highs`` object that scipy ships
+(``scipy.optimize._highspy._core``, scipy >= 1.15), and extracts conflict
+cores from the dual multipliers of an *elastic* LP relaxation.  It is
+considerably faster than the pure-Python exact backend on the larger
+constraint systems produced by the threshold/remainder/flock-of-birds
+benchmarks.
 
 Incrementality: the DPLL(T) loop and the CEGAR refinement of the
 verification layer pose long sequences of closely related conjunctions, so
 the backend keeps a grow-only variable→column index and caches the sparse
 row of every constraint it has ever seen; each call assembles its matrix by
-stacking cached rows instead of rebuilding the MILP from scratch.  Columns
-belonging to variables of earlier calls are harmless: their coefficients are
-zero and their bounds default to the natural numbers.
+stacking cached rows.  Columns belonging to variables of earlier calls are
+harmless: their coefficients are zero and their bounds default to the
+natural numbers.  Each call then passes **one** HiGHS model
+(:class:`_HighsModel`) and keeps it for the whole call: the feasibility
+solve and every probe of core extraction (the re-check of the elastic-LP
+candidate, the dichotomic shrink, the deletion minimisation) run on it.  A
+probe keeps a subset of rows by setting the other rows' upper bounds to
+``+inf`` — only rows whose state changed are touched — and clears the
+solver state before each run, so a probe answers as a fresh model of the
+subset would.
 
 Soundness: HiGHS works in floating point, so
 
 * every model is rounded to integers and re-verified exactly
-  (:func:`repro.smtlite.theory.verify_model`); if verification fails the
-  query is re-run on the exact backend;
-* every conflict core is re-verified by a dedicated infeasibility check
-  before being returned; if the check fails the full constraint set is
-  returned as the (always valid) core.
+  (:func:`repro.smtlite.theory.verify_model`); if verification fails, or
+  HiGHS ends the feasibility solve with neither an optimum nor a proof of
+  infeasibility, the query is re-run on the exact backend;
+* a subset of rows counts as infeasible only when HiGHS ends its run with
+  the model status ``kInfeasible``; any other status (time limit, solver
+  or model error) counts as "not proven", so the core keeps the rows;
+* the elastic-LP candidate is re-checked that way before it is used; if
+  the check fails the full constraint set is the (always valid) core.
+
+Observability: HiGHS runs by kind (``check``, ``probe``) and probe outcomes
+(``proven``, ``unproven``) are counted in :data:`repro.obs.metrics.REGISTRY`
+(``repro_highs_runs_total``, ``repro_theory_core_probes_total``).
 """
 
 from __future__ import annotations
@@ -31,18 +47,106 @@ from collections.abc import Sequence
 
 import numpy as np
 from scipy import optimize, sparse
+from scipy.optimize._highspy._core import (
+    HighsLp,
+    HighsModelStatus,
+    HighsStatus,
+    HighsVarType,
+    MatrixFormat,
+    _Highs,
+)
 
+from repro.obs.metrics import REGISTRY
 from repro.smtlite.theory import (
     Bounds,
     ExactTheorySolver,
     TheoryConstraint,
     TheoryResult,
     TheorySolverBase,
+    deletion_shrink,
     verify_model,
 )
 
 _MARGINAL_TOLERANCE = 1e-7
 _FEASIBILITY_TOLERANCE = 1e-6
+
+_RUNS = REGISTRY.counter(
+    "repro_highs_runs_total",
+    "HiGHS MILP runs of the scipy theory backend, by kind (check, probe)",
+)
+_PROBES = REGISTRY.counter(
+    "repro_theory_core_probes_total",
+    "Core-extraction probes of the scipy theory backend, by outcome (proven, unproven)",
+)
+
+
+class _HighsModel:
+    """One call's MILP ``A x <= rhs`` over integer columns, with switchable rows.
+
+    Built once per theory call from the stacked rows, the column bounds and
+    the right-hand sides; :meth:`solve` answers for every row,
+    :meth:`proven_infeasible` for a subset of them.
+    """
+
+    def __init__(self, matrix: sparse.csr_matrix, rhs: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+        self.matrix = matrix
+        self.rhs = rhs
+        self.lower = lower
+        self.upper = upper
+        num_rows, num_columns = matrix.shape
+        columns = matrix.tocsc()
+        lp = HighsLp()
+        lp.num_col_ = num_columns
+        lp.num_row_ = num_rows
+        lp.a_matrix_.num_col_ = num_columns
+        lp.a_matrix_.num_row_ = num_rows
+        lp.a_matrix_.format_ = MatrixFormat.kColwise
+        lp.a_matrix_.start_ = columns.indptr
+        lp.a_matrix_.index_ = columns.indices
+        lp.a_matrix_.value_ = columns.data
+        lp.col_cost_ = np.zeros(num_columns)
+        lp.col_lower_ = lower
+        lp.col_upper_ = upper
+        lp.row_lower_ = np.full(num_rows, -np.inf)
+        lp.row_upper_ = rhs
+        lp.integrality_ = [HighsVarType.kInteger] * num_columns
+        self._highs = _Highs()
+        self._highs.setOptionValue("log_to_console", False)
+        self._loaded = self._highs.passModel(lp) != HighsStatus.kError
+        self._kept = np.ones(num_rows, dtype=bool)
+        self._time_limit = np.inf
+
+    def solve(self) -> tuple[HighsModelStatus, list[float] | None]:
+        """Status of the full system and, when optimal, its column values."""
+        _RUNS.inc(kind="check")
+        status = self._run(np.ones(len(self.rhs), dtype=bool), np.inf)
+        if status != HighsModelStatus.kOptimal:
+            return status, None
+        return status, self._highs.getSolution().col_value
+
+    def proven_infeasible(self, rows: Sequence[int], time_limit: float = np.inf) -> bool:
+        """True only when HiGHS ends the run on ``rows`` with status ``kInfeasible``."""
+        _RUNS.inc(kind="probe")
+        kept = np.zeros(len(self.rhs), dtype=bool)
+        kept[list(rows)] = True
+        proven = self._run(kept, time_limit) == HighsModelStatus.kInfeasible
+        _PROBES.inc(outcome="proven" if proven else "unproven")
+        return proven
+
+    def _run(self, kept: np.ndarray, time_limit: float) -> HighsModelStatus:
+        if not self._loaded:
+            return HighsModelStatus.kModelError
+        highs = self._highs
+        for row in np.flatnonzero(kept != self._kept):
+            highs.changeRowBounds(int(row), -np.inf, self.rhs[row] if kept[row] else np.inf)
+        self._kept = kept
+        if time_limit != self._time_limit:
+            highs.setOptionValue("time_limit", float(time_limit))
+            self._time_limit = time_limit
+        highs.clearSolver()
+        if highs.run() == HighsStatus.kError:
+            return HighsModelStatus.kSolveError
+        return highs.getModelStatus()
 
 
 class ScipyTheorySolver(TheorySolverBase):
@@ -67,28 +171,22 @@ class ScipyTheorySolver(TheorySolverBase):
         self._var_index: dict[str, int] = {}
         # Cached sparse row (data, column indices) per constraint.
         self._row_cache: dict[TheoryConstraint, tuple[list[float], list[int]]] = {}
-        self.statistics = {
-            "milp_calls": 0,
-            "lp_calls": 0,
-            "exact_fallbacks": 0,
-            "row_cache_hits": 0,
-            "row_cache_misses": 0,
-        }
 
     # ------------------------------------------------------------------
 
     def is_satisfiable(self, constraints: Sequence[TheoryConstraint], bounds: Bounds) -> bool:
-        """Single MILP feasibility call (no model verification, no core work)."""
+        """One HiGHS run on a one-shot model (no model verification, no core work)."""
         constraints = list(constraints)
         if not constraints:
             return True
         if not any(constraint.coefficients for constraint in constraints):
             return all(constraint.constant <= 0 for constraint in constraints)
-        self._register_variables(bounds)
-        matrix, rhs = self._constraint_matrix(constraints)
-        lower, upper = self._bound_arrays(bounds)
-        feasible, _ = self._solve_milp(matrix, rhs, lower, upper)
-        return feasible
+        status, _ = self._model(constraints, bounds).solve()
+        if status == HighsModelStatus.kOptimal:
+            return True
+        if status == HighsModelStatus.kInfeasible:
+            return False
+        return self._exact_fallback.is_satisfiable(constraints, bounds)
 
     def check(self, constraints: Sequence[TheoryConstraint], bounds: Bounds) -> TheoryResult:
         constraints = list(constraints)
@@ -105,23 +203,23 @@ class ScipyTheorySolver(TheorySolverBase):
             core = [i for i, c in enumerate(constraints) if c.constant > 0]
             return TheoryResult(False, core=core)
 
-        self._register_variables(bounds)
-        matrix, rhs = self._constraint_matrix(constraints)
-        lower, upper = self._bound_arrays(bounds)
-
-        feasible, values = self._solve_milp(matrix, rhs, lower, upper)
-        if feasible:
-            model = {name: values[self._var_index[name]] for name in variables}
+        highs_model = self._model(constraints, bounds)
+        status, values = highs_model.solve()
+        if status == HighsModelStatus.kOptimal:
+            index = self._var_index
+            model = {name: int(round(values[index[name]])) for name in variables}
             if verify_model(constraints, bounds, model):
                 return TheoryResult(True, model=model)
-            self.statistics["exact_fallbacks"] += 1
+            return self._exact_fallback.check(constraints, bounds)
+        if status != HighsModelStatus.kInfeasible:
+            # HiGHS decided nothing (solver or model error): ask the exact backend.
             return self._exact_fallback.check(constraints, bounds)
 
-        core = self._extract_core(constraints, bounds, matrix, rhs, lower, upper)
+        core = self._extract_core(constraints, bounds, highs_model)
         return TheoryResult(False, core=core)
 
     # ------------------------------------------------------------------
-    # MILP / LP building blocks
+    # Model building blocks
     # ------------------------------------------------------------------
 
     @staticmethod
@@ -132,6 +230,12 @@ class ScipyTheorySolver(TheorySolverBase):
         if upper is not None:
             return int(upper)
         return 0
+
+    def _model(self, constraints: Sequence[TheoryConstraint], bounds: Bounds) -> _HighsModel:
+        self._register_variables(bounds)
+        matrix, rhs = self._constraint_matrix(constraints)
+        lower, upper = self._bound_arrays(bounds)
+        return _HighsModel(matrix, rhs, lower, upper)
 
     def _register_variables(self, bounds: Bounds) -> None:
         index = self._var_index
@@ -152,7 +256,6 @@ class ScipyTheorySolver(TheorySolverBase):
             rhs[row] = -constraint.constant
             cached = row_cache.get(constraint)
             if cached is None:
-                self.statistics["row_cache_misses"] += 1
                 row_data: list[float] = []
                 row_columns: list[int] = []
                 for name, coefficient in constraint.coefficients:
@@ -164,8 +267,6 @@ class ScipyTheorySolver(TheorySolverBase):
                     row_columns.append(column)
                 cached = (row_data, row_columns)
                 row_cache[constraint] = cached
-            else:
-                self.statistics["row_cache_hits"] += 1
             data.extend(cached[0])
             column_indices.extend(cached[1])
             row_indices.extend([row] * len(cached[0]))
@@ -184,45 +285,19 @@ class ScipyTheorySolver(TheorySolverBase):
             upper[position] = np.inf if high is None else float(high)
         return lower, upper
 
-    def _solve_milp(
-        self,
-        matrix: sparse.csr_matrix,
-        rhs: np.ndarray,
-        lower: np.ndarray,
-        upper: np.ndarray,
-    ) -> tuple[bool, list[int] | None]:
-        self.statistics["milp_calls"] += 1
-        num_variables = matrix.shape[1]
-        constraint = optimize.LinearConstraint(matrix, -np.inf, rhs)
-        result = optimize.milp(
-            c=np.zeros(num_variables),
-            constraints=[constraint],
-            integrality=np.ones(num_variables),
-            bounds=optimize.Bounds(lower, upper),
-        )
-        if result.success and result.x is not None:
-            return True, [int(round(value)) for value in result.x]
-        return False, None
-
     # ------------------------------------------------------------------
     # Conflict cores
     # ------------------------------------------------------------------
 
     def _extract_core(
-        self,
-        constraints: Sequence[TheoryConstraint],
-        bounds: Bounds,
-        matrix: sparse.csr_matrix,
-        rhs: np.ndarray,
-        lower: np.ndarray,
-        upper: np.ndarray,
+        self, constraints: Sequence[TheoryConstraint], bounds: Bounds, model: _HighsModel
     ) -> list[int]:
         all_indices = list(range(len(constraints)))
-        candidate = self._elastic_lp_core(matrix, rhs, lower, upper)
+        candidate = self._elastic_lp_core(model)
         core = None
         if candidate and len(candidate) < len(constraints):
-            # Re-verify the candidate with a dedicated MILP call on the subset.
-            if self._subset_proven_infeasible(constraints, bounds, candidate):
+            # Re-verify the candidate with a run on the subset.
+            if model.proven_infeasible(candidate):
                 core = candidate
         if core is None:
             # No LP certificate (typically integrality-driven infeasibility).
@@ -230,51 +305,43 @@ class ScipyTheorySolver(TheorySolverBase):
         if self.minimize_cores and len(core) > 4:
             # Large cores make weak blocking clauses and the DPLL(T) loop
             # degenerates into near-enumeration of boolean assignments, so
-            # spend a bounded number of subset MILP calls shrinking them.
-            core = self._dichotomic_shrink(constraints, bounds, core)
+            # spend a bounded number of subset probes shrinking them.
+            core = self._dichotomic_shrink(model, core)
         if self.minimize_cores and 4 < len(core) <= self.core_minimization_budget:
-            core = self.minimize_core(constraints, bounds, core, max_checks=self.core_minimization_budget)
+            core = self.minimize_core(
+                constraints, bounds, core, max_checks=self.core_minimization_budget, model=model
+            )
         return core
 
-    def _subset_proven_infeasible(
+    def minimize_core(
         self,
         constraints: Sequence[TheoryConstraint],
         bounds: Bounds,
-        indices: Sequence[int],
-        time_limit: float | None = None,
-    ) -> bool:
-        """True only when HiGHS *proves* the subset infeasible.
-
-        Removing constraints can make the branch-and-bound much harder than
-        the full system, so subset probes carry a time limit; an undecided
-        probe counts as "not proven", which is always sound (the caller just
-        keeps a larger core).
-        """
-        subset = [constraints[index] for index in indices]
-        sub_matrix, sub_rhs = self._constraint_matrix(subset)
-        sub_lower, sub_upper = self._bound_arrays(bounds)
-        self.statistics["milp_calls"] += 1
-        constraint = optimize.LinearConstraint(sub_matrix, -np.inf, sub_rhs)
-        num_variables = sub_matrix.shape[1]
-        result = optimize.milp(
-            c=np.zeros(num_variables),
-            constraints=[constraint],
-            integrality=np.ones(num_variables),
-            bounds=optimize.Bounds(sub_lower, sub_upper),
-            options=None if time_limit is None else {"time_limit": time_limit},
-        )
-        return result.status == 2  # 2 = proven infeasible
-
-    def _dichotomic_shrink(
-        self, constraints: Sequence[TheoryConstraint], bounds: Bounds, core: list[int]
+        candidate: Sequence[int],
+        max_checks: int = 64,
+        model: _HighsModel | None = None,
     ) -> list[int]:
+        """Deletion-based minimisation on one HiGHS model (``model``, or a new one).
+
+        A row is dropped only when the rest is proven infeasible, so the
+        result is infeasible whenever ``candidate`` is.
+        """
+        if model is None:
+            model = self._model(constraints, bounds)
+        return deletion_shrink(candidate, model.proven_infeasible, max_checks)
+
+    def _dichotomic_shrink(self, model: _HighsModel, core: list[int]) -> list[int]:
         """Shrink an unsatisfiable index set by dropping halving chunks.
 
         ddmin-style: try to remove chunks of decreasing size while the
-        remainder stays infeasible.  Costs O(budget) time-limited subset MILP
-        calls and typically reduces a full-assignment core to a handful of
+        remainder stays infeasible.  Costs O(budget) time-limited subset
+        probes and typically reduces a full-assignment core to a handful of
         rows, which turns the learned blocking clause from a
-        single-assignment exclusion into a real pruning lemma.
+        single-assignment exclusion into a real pruning lemma.  Removing
+        rows can make the branch-and-bound much harder than the full
+        system, so each probe carries a time limit; an undecided probe
+        counts as "not proven", which is always sound (the core stays
+        larger).
         """
         budget = self.core_shrink_budget
         if budget <= 0 or len(core) <= 4:
@@ -291,33 +358,27 @@ class ScipyTheorySolver(TheorySolverBase):
                 if not trial:
                     break
                 budget -= 1
-                if self._subset_proven_infeasible(constraints, bounds, trial, time_limit=per_probe):
+                if model.proven_infeasible(trial, time_limit=per_probe):
                     core = trial
                 else:
                     position += chunk
             chunk //= 2
         return core
 
-    def _elastic_lp_core(
-        self,
-        matrix: sparse.csr_matrix,
-        rhs: np.ndarray,
-        lower: np.ndarray,
-        upper: np.ndarray,
-    ) -> list[int] | None:
+    def _elastic_lp_core(self, model: _HighsModel) -> list[int] | None:
         """Dual-based core from the elastic LP ``min sum(s) s.t. Ax - s <= b``.
 
         If the minimal total violation is positive, the LP relaxation itself
         is infeasible and the rows with non-zero dual multipliers form a
         Farkas-style certificate.
         """
-        self.statistics["lp_calls"] += 1
+        matrix, rhs = model.matrix, model.rhs
         num_constraints, num_variables = matrix.shape
         elastic = sparse.hstack([matrix, -sparse.identity(num_constraints, format="csr")], format="csr")
         objective = np.concatenate([np.zeros(num_variables), np.ones(num_constraints)])
         variable_bounds = [
             (None if np.isneginf(low) else low, None if np.isposinf(high) else high)
-            for low, high in zip(lower, upper)
+            for low, high in zip(model.lower, model.upper)
         ] + [(0, None)] * num_constraints
         result = optimize.linprog(
             objective,

@@ -18,7 +18,7 @@ returning them, so an inexact backend can never report a wrong "sat".
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.smtlite.branch_and_bound import ILPStatus, solve_integer_feasibility
@@ -136,20 +136,34 @@ class TheorySolverBase:
         unsatisfiable.  Each test is one backend feasibility call;
         ``max_checks`` caps the effort for very large cores.
         """
-        core = list(candidate)
-        if len(core) <= 1:
-            return core
-        checks = 0
-        position = 0
-        while position < len(core) and checks < max_checks:
-            trial = core[:position] + core[position + 1 :]
-            subset = [constraints[index] for index in trial]
-            checks += 1
-            if not self.is_satisfiable(subset, bounds):
-                core = trial
-            else:
-                position += 1
+
+        def unsatisfiable(trial: list[int]) -> bool:
+            return not self.is_satisfiable([constraints[index] for index in trial], bounds)
+
+        return deletion_shrink(candidate, unsatisfiable, max_checks)
+
+
+def deletion_shrink(
+    candidate: Sequence[int], unsatisfiable: Callable[[list[int]], bool], max_checks: int
+) -> list[int]:
+    """Drop indices of ``candidate`` one at a time while ``unsatisfiable`` holds.
+
+    At most ``max_checks`` calls of ``unsatisfiable``; an index stays when
+    the test of the rest fails.
+    """
+    core = list(candidate)
+    if len(core) <= 1:
         return core
+    checks = 0
+    position = 0
+    while position < len(core) and checks < max_checks:
+        trial = core[:position] + core[position + 1 :]
+        checks += 1
+        if unsatisfiable(trial):
+            core = trial
+        else:
+            position += 1
+    return core
 
 
 class ExactTheorySolver(TheorySolverBase):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -146,6 +146,11 @@ def random_lp_strategy():
 class TestSimplexAgainstScipy:
     @given(random_lp_strategy())
     @settings(max_examples=60, deadline=None)
+    # HiGHS reports this feasible, unbounded LP as infeasible; the exact
+    # simplex answers unbounded.
+    @example(
+        (3, 3, [0, 0, 0, -1, -1, 1, -1, -1, 1] + [0] * 21, [0, 0, 1, 0], ["<=", ">=", "<=", "<="], [0, -1, 0])
+    )
     def test_agrees_with_highs(self, data):
         num_vars, num_cons, flat_matrix, rhs_values, senses, objective_values = data
         lp = LinearProgram()
@@ -184,7 +189,19 @@ class TestSimplexAgainstScipy:
             method="highs",
         )
         if reference.status == 2:
-            assert ours.status is LPStatus.INFEASIBLE
+            # HiGHS can misreport an unbounded LP as infeasible; the zero
+            # objective tells feasibility apart from dual infeasibility.
+            feasible = optimize.linprog(
+                c=np.zeros(num_vars),
+                A_ub=np.array(a_ub) if a_ub else None,
+                b_ub=np.array(b_ub) if b_ub else None,
+                A_eq=np.array(a_eq) if a_eq else None,
+                b_eq=np.array(b_eq) if b_eq else None,
+                bounds=[(0, None)] * num_vars,
+                method="highs",
+            )
+            expected = LPStatus.UNBOUNDED if feasible.status == 0 else LPStatus.INFEASIBLE
+            assert ours.status is expected
         elif reference.status == 3:
             assert ours.status is LPStatus.UNBOUNDED
         elif reference.status == 0:
