@@ -23,6 +23,14 @@ probe keeps a subset of rows by setting the other rows' upper bounds to
 solver state before each run, so a probe answers as a fresh model of the
 subset would.
 
+Known models: every HiGHS run that ends with an optimum leaves its rounded
+integer solution in a pool of the session's :data:`_POOL_SIZE` most recent
+ones, stored over the grow-only column index.  On its first probe a call
+tabulates, in int64 arithmetic, which of its rows each pooled model
+satisfies with that row's columns inside the call's bounds, and adds a
+column for every solution found afterwards.  A probe whose rows all hold
+for one model is answered "not proven" without a HiGHS run.
+
 Soundness: HiGHS works in floating point, so
 
 * every model is rounded to integers and re-verified exactly
@@ -32,18 +40,31 @@ Soundness: HiGHS works in floating point, so
 * a subset of rows counts as infeasible only when HiGHS ends its run with
   the model status ``kInfeasible``; any other status (time limit, solver
   or model error) counts as "not proven", so the core keeps the rows;
+* a probe answered from a known model is "not proven", which keeps rows
+  and is therefore always sound.  The model, checked in exact integer
+  arithmetic, witnesses that the subset HiGHS would solve is feasible, so
+  HiGHS could only have answered differently by misreporting.  The table
+  stays empty when a column's bounds are empty (HiGHS proves every subset
+  infeasible there), and leaves out a model when ``max|x|`` times the
+  largest row L1 norm could reach ``2**62``, where int64 row values could
+  overflow;
 * the elastic-LP candidate is re-checked that way before it is used; if
   the check fails the full constraint set is the (always valid) core.
 
 Observability: HiGHS runs by kind (``check``, ``probe``) and probe outcomes
-(``proven``, ``unproven``) are counted in :data:`repro.obs.metrics.REGISTRY`
-(``repro_highs_runs_total``, ``repro_theory_core_probes_total``).
+(``proven``, ``unproven``, and ``model`` for probes answered from a known
+model without a run) are counted in :data:`repro.obs.metrics.REGISTRY`
+(``repro_highs_runs_total``, ``repro_theory_core_probes_total``).  A
+``kind="probe"`` run is a real HiGHS run, so it counts the ``proven`` and
+``unproven`` probes only.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from collections.abc import Sequence
+from functools import cached_property
 
 import numpy as np
 from scipy import optimize, sparse
@@ -69,6 +90,11 @@ from repro.smtlite.theory import (
 
 _MARGINAL_TOLERANCE = 1e-7
 _FEASIBILITY_TOLERANCE = 1e-6
+#: Known integer models kept per session: the most recent ones.
+_POOL_SIZE = 64
+#: Bound on ``max|x|`` times the largest row L1 norm for a model to be
+#: evaluated in int64; half of int64's range absorbs the float norm's rounding.
+_INT64_HEADROOM = 2**62
 
 _RUNS = REGISTRY.counter(
     "repro_highs_runs_total",
@@ -76,8 +102,12 @@ _RUNS = REGISTRY.counter(
 )
 _PROBES = REGISTRY.counter(
     "repro_theory_core_probes_total",
-    "Core-extraction probes of the scipy theory backend, by outcome (proven, unproven)",
+    "Core-extraction probes of the scipy theory backend, by outcome"
+    " (proven, unproven; model: answered by a known integer model without a run)",
 )
+
+#: A session's pool entry: an integer solution over the column index, and ``max|x|``.
+_PooledModel = tuple[np.ndarray, int]
 
 
 class _HighsModel:
@@ -85,10 +115,19 @@ class _HighsModel:
 
     Built once per theory call from the stacked rows, the column bounds and
     the right-hand sides; :meth:`solve` answers for every row,
-    :meth:`proven_infeasible` for a subset of them.
+    :meth:`proven_infeasible` for a subset of them.  ``pool`` is the
+    session's store of known integer models: optimal runs add to it, and
+    probes whose rows one of them satisfies are answered without a run.
     """
 
-    def __init__(self, matrix: sparse.csr_matrix, rhs: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    def __init__(
+        self,
+        matrix: sparse.csr_matrix,
+        rhs: np.ndarray,
+        lower: np.ndarray,
+        upper: np.ndarray,
+        pool: deque[_PooledModel],
+    ):
         self.matrix = matrix
         self.rhs = rhs
         self.lower = lower
@@ -115,6 +154,10 @@ class _HighsModel:
         self._loaded = self._highs.passModel(lp) != HighsStatus.kError
         self._kept = np.ones(num_rows, dtype=bool)
         self._time_limit = np.inf
+        self._pool = pool
+        # Rows x models: the row holds for the model, with the row's columns
+        # inside the bounds.  Built on the first probe (see _witnessed).
+        self._table: np.ndarray | None = None
 
     def solve(self) -> tuple[HighsModelStatus, list[float] | None]:
         """Status of the full system and, when optimal, its column values."""
@@ -125,10 +168,18 @@ class _HighsModel:
         return status, self._highs.getSolution().col_value
 
     def proven_infeasible(self, rows: Sequence[int], time_limit: float = np.inf) -> bool:
-        """True only when HiGHS ends the run on ``rows`` with status ``kInfeasible``."""
+        """True only when HiGHS ends the run on ``rows`` with status ``kInfeasible``.
+
+        When a known model satisfies ``rows``, HiGHS cannot prove them
+        infeasible, so the answer is False without a run.
+        """
+        rows = list(rows)
+        if self._witnessed(rows):
+            _PROBES.inc(outcome="model")
+            return False
         _RUNS.inc(kind="probe")
         kept = np.zeros(len(self.rhs), dtype=bool)
-        kept[list(rows)] = True
+        kept[rows] = True
         proven = self._run(kept, time_limit) == HighsModelStatus.kInfeasible
         _PROBES.inc(outcome="proven" if proven else "unproven")
         return proven
@@ -146,7 +197,68 @@ class _HighsModel:
         highs.clearSolver()
         if highs.run() == HighsStatus.kError:
             return HighsModelStatus.kSolveError
-        return highs.getModelStatus()
+        status = highs.getModelStatus()
+        if status == HighsModelStatus.kOptimal:
+            self._remember(highs.getSolution().col_value)
+        return status
+
+    # ------------------------------------------------------------------
+    # Known models
+    # ------------------------------------------------------------------
+
+    def _witnessed(self, rows: list[int]) -> bool:
+        """Whether one known model satisfies every row of ``rows`` exactly."""
+        if self._table is None:
+            self._table = self._witness_columns(self._pool)
+        return bool(self._table[rows].all(axis=0).any())
+
+    def _remember(self, values: Sequence[float]) -> None:
+        solution = np.rint(np.asarray(values, dtype=float))
+        magnitude = float(np.abs(solution).max(initial=0.0))
+        if not magnitude < _INT64_HEADROOM:  # also rejects NaN
+            return
+        entry = (solution.astype(np.int64), int(magnitude))
+        self._pool.append(entry)
+        if self._table is not None:
+            self._table = np.hstack((self._table, self._witness_columns([entry])))
+
+    @cached_property
+    def _integer_system(self) -> tuple | None:
+        """``(A, pattern of A, rhs, lower, upper, largest row L1 norm)`` in int64.
+
+        None when a column's bounds are empty: HiGHS then proves every
+        subset infeasible, whatever its rows.  Right-hand sides and bounds
+        are clipped to ``±2**62``, which no usable model's row values or
+        columns reach, so clipping changes no comparison.
+        """
+        lower, upper = self.lower, self.upper
+        if np.any(lower > upper):
+            return None
+        matrix = self.matrix.astype(np.int64)
+        pattern = matrix.copy()
+        pattern.data = np.ones_like(pattern.data)
+        row_norm = float(np.asarray(abs(self.matrix).sum(axis=1)).max(initial=0.0))
+
+        def clipped(values: np.ndarray) -> np.ndarray:
+            return np.clip(values, -_INT64_HEADROOM, _INT64_HEADROOM).astype(np.int64)
+
+        return matrix, pattern, clipped(self.rhs), clipped(lower), clipped(upper), row_norm
+
+    def _witness_columns(self, models: Sequence[_PooledModel]) -> np.ndarray:
+        """The table's columns for ``models``, leaving out those int64 cannot evaluate."""
+        num_rows, num_columns = self.matrix.shape
+        system = self._integer_system
+        if system is None:
+            return np.zeros((num_rows, 0), dtype=bool)
+        matrix, pattern, rhs, lower, upper, row_norm = system
+        usable = [solution for solution, magnitude in models if magnitude * row_norm < _INT64_HEADROOM]
+        values = np.zeros((num_columns, len(usable)), dtype=np.int64)
+        for position, solution in enumerate(usable):
+            width = min(num_columns, len(solution))
+            values[:width, position] = solution[:width]
+        holds = matrix @ values <= rhs[:, None]
+        outside = (values < lower[:, None]) | (values > upper[:, None])
+        return holds & (pattern @ outside.astype(np.int64) == 0)
 
 
 class ScipyTheorySolver(TheorySolverBase):
@@ -171,6 +283,8 @@ class ScipyTheorySolver(TheorySolverBase):
         self._var_index: dict[str, int] = {}
         # Cached sparse row (data, column indices) per constraint.
         self._row_cache: dict[TheoryConstraint, tuple[list[float], list[int]]] = {}
+        # Known integer models over the column index, shared by all calls.
+        self._pool: deque[_PooledModel] = deque(maxlen=_POOL_SIZE)
 
     # ------------------------------------------------------------------
 
@@ -235,7 +349,7 @@ class ScipyTheorySolver(TheorySolverBase):
         self._register_variables(bounds)
         matrix, rhs = self._constraint_matrix(constraints)
         lower, upper = self._bound_arrays(bounds)
-        return _HighsModel(matrix, rhs, lower, upper)
+        return _HighsModel(matrix, rhs, lower, upper, self._pool)
 
     def _register_variables(self, bounds: Bounds) -> None:
         index = self._var_index

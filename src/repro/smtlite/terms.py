@@ -24,9 +24,10 @@ class LinearExpr:
     def __init__(self, coefficients: Mapping[str, int] | None = None, constant: int = 0):
         coeffs: dict[str, int] = {}
         for name, value in (coefficients or {}).items():
-            if not isinstance(value, Integral):
-                raise TypeError(f"coefficient of {name!r} must be an integer, got {value!r}")
-            value = int(value)
+            if type(value) is not int:
+                if not isinstance(value, Integral):
+                    raise TypeError(f"coefficient of {name!r} must be an integer, got {value!r}")
+                value = int(value)
             if value != 0:
                 coeffs[name] = value
         if not isinstance(constant, Integral):
@@ -48,11 +49,28 @@ class LinearExpr:
 
     @classmethod
     def sum_of(cls, expressions: Iterable["LinearExpr | int"]) -> "LinearExpr":
-        """Sum an iterable of expressions (and plain integers)."""
-        total = cls.constant_expr(0)
+        """Sum an iterable of expressions (and plain integers).
+
+        Equal to folding with ``+``, coefficient order included: one dict
+        accumulates every term, and a coefficient that cancels to zero
+        leaves it, so it re-enters at the end as the fold's would.
+        """
+        coefficients: dict[str, int] = {}
+        constant = 0
         for expression in expressions:
-            total = total + expression
-        return total
+            if not isinstance(expression, LinearExpr):
+                if not isinstance(expression, Integral):
+                    raise TypeError(f"cannot add {expression!r} to a linear expression")
+                constant += int(expression)
+                continue
+            for name, value in expression.coefficients.items():
+                total = coefficients.get(name, 0) + value
+                if total:
+                    coefficients[name] = total
+                else:
+                    del coefficients[name]
+            constant += expression.constant
+        return cls(coefficients, constant)
 
     # ------------------------------------------------------------------
     # Queries

@@ -55,6 +55,35 @@ class TestLinearExpr:
         combo = linear_sum([(2, "x"), (1, y + 1)])
         assert combo.evaluate({"x": 3, "y": 4}) == 11
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-3, 3),
+                st.builds(
+                    LinearExpr,
+                    st.dictionaries(st.sampled_from("xyzw"), st.integers(-2, 2), max_size=3),
+                    st.integers(-3, 3),
+                ),
+            ),
+            max_size=8,
+        )
+    )
+    def test_sum_of_equals_the_fold(self, terms):
+        folded = LinearExpr.constant_expr(0)
+        for term in terms:
+            folded = folded + term
+        total = LinearExpr.sum_of(terms)
+        assert total == folded
+        assert list(total.coefficients.items()) == list(folded.coefficients.items())
+
+    def test_sum_of_cancels_and_reorders_like_the_fold(self):
+        total = LinearExpr.sum_of([x, y, -x, 2, x])
+        assert list(total.coefficients.items()) == [("y", 1), ("x", 1)]
+        assert total.constant == 2
+        assert LinearExpr.sum_of([]) == LinearExpr.constant_expr(0)
+        with pytest.raises(TypeError):
+            LinearExpr.sum_of([x, 0.5])
+
     def test_rsub_and_neg(self):
         assert (5 - x).evaluate({"x": 2}) == 3
         assert (-x).evaluate({"x": 2}) == -2
