@@ -136,7 +136,7 @@ def _entry_from_report(family: str, parameter: str, protocol, report, elapsed: f
             "refinements": len(strong.refinements),
             "time": None if from_cache else strong.statistics.get("time"),
             "solver": {} if from_cache else strong.statistics.get("solver", {}),
-            # IR simplifier savings: constraints before/after normalisation.
+            # The folding pass: split parts in, kept, and folded to TRUE.
             "simplifier": None if from_cache else strong.statistics.get("simplifier"),
         }
     return entry
@@ -265,9 +265,8 @@ def main(argv: list[str] | None = None) -> int:
             flush=True,
         )
 
-    # Incremental-IR counters accumulated across the whole suite: scope
-    # traffic, delta-simplification savings, base-level cut promotions and
-    # learned-core retention — what the scoped-delta machinery did.
+    # Incremental counters accumulated across the whole suite: base-level
+    # cut promotions and learned-core retention across solver pops.
     from repro.constraints.incremental import incremental_statistics
 
     # The process-global metrics registry, snapshotted once at the end:

@@ -4,8 +4,9 @@ The layer between the verification procedures and the solvers:
 
 * :mod:`repro.constraints.ir` — :class:`ConstraintSystem`: typed
   linear-integer constraint systems with named variable groups;
-* :mod:`repro.constraints.simplify` — the normalisation pass (constant
-  folding, bound tightening, duplicate/subsumed-constraint elimination);
+* :mod:`repro.constraints.incremental` — the pass every block goes through
+  on its way to a solver (constant folding, conjunction splitting), and the
+  process-wide counters of learned cores and promoted cuts;
 * :mod:`repro.constraints.builders` — :class:`ConstraintBuilder`: the
   paper's recurring constraint blocks (flow equations, trap/siphon cuts,
   terminal-pattern memberships) as reusable builders;
@@ -37,7 +38,6 @@ from repro.constraints.builders import (
 from repro.constraints.context import AnalysisContext
 from repro.constraints.direct import CaseBudgetExceeded, DirectILPSolver
 from repro.constraints.ir import ConstraintSystem
-from repro.constraints.simplify import SimplifyStats, simplify_system
 
 __all__ = [
     "AnalysisContext",
@@ -47,7 +47,6 @@ __all__ = [
     "ConstraintSystem",
     "DEFAULT_BACKEND",
     "DirectILPSolver",
-    "SimplifyStats",
     "SolverBackend",
     "TerminalPattern",
     "available_backends",
@@ -55,7 +54,6 @@ __all__ = [
     "get_backend",
     "register_backend",
     "resolve_backend_name",
-    "simplify_system",
     "terminal_support_patterns",
     "unregister_backend",
 ]

@@ -11,7 +11,7 @@ and terminal-support-pattern memberships.  This module owns all of them:
 * :class:`ConstraintBuilder` — one shared naming scheme and the formula
   templates, plus system-level builders that package whole blocks as
   :class:`~repro.constraints.ir.ConstraintSystem` values (with named
-  variable groups) ready for simplification and any backend.
+  variable groups) ready for constant folding and any backend.
 
 Everything here is pure construction: no solver is touched, which is what
 lets the same blocks serve the smtlite DPLL(T) backend, the direct-ILP

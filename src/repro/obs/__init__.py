@@ -6,7 +6,7 @@ Three pillars, one import point:
   of thread-safe counters, gauges and label-aware log-scale histograms with a
   mergeable snapshot form and a Prometheus text encoder.  Every counter that
   used to live in an ad-hoc per-module dictionary (incremental-IR stats,
-  result/simplify-cache traffic, scheduler retries, backend demotions, network
+  result-cache traffic, scheduler retries, backend demotions, network
   connection counters) is mirrored here, so ``GET /metricsz`` serves one
   scrapeable surface and the router aggregates it fleet-wide with per-shard
   labels.

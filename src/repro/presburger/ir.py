@@ -8,7 +8,7 @@ variables land in the ``"input"`` group, the fresh existential variables a
 remainder predicate introduces (division quotients and residues) land in
 the ``"presburger:aux"`` group with their natural-number bounds declared,
 and the resulting system composes (``merge``) with the verification
-builders' blocks before simplification and backend dispatch.
+builders' blocks before constant folding and backend dispatch.
 """
 
 from __future__ import annotations

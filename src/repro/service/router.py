@@ -10,7 +10,7 @@ ReplicaSupervisor` fleet by the *content hash* of the submitted protocol
 Rendezvous hashing gives the two invariants the tier is built on:
 
 * **Shard stability** — the same protocol always lands on the same replica,
-  so each shard's result and simplify caches partition cleanly (a repeat
+  so each shard's result cache and analysis contexts partition cleanly (a repeat
   submit is a cache hit *on its own shard*, never a miss on another).
 * **Minimal disruption** — changing the fleet size moves only the keys
   whose argmax changed; no global reshuffle.
@@ -521,7 +521,7 @@ class RouterSession(ServeSession):
         # Fleet-level view of the incremental-IR counters: the per-shard
         # learned-core retention rates side by side (a shard whose rate
         # collapses is rebuilding solver state it should be reusing), plus
-        # summed scope/core counters across reachable shards.
+        # summed core/cut counters across reachable shards.
         retention = {}
         totals: dict = {}
         for shard_id, stats in shards.items():

@@ -462,8 +462,8 @@ class ServeSession:
             "pending_jobs": service.pending_count(),
             "cache": service.cache_statistics(),
             "journal": dict(service.journal.statistics) if service.journal is not None else None,
-            # Process-wide incremental-IR counters (scopes, delta savings,
-            # core retention) — the router's scatter-gather aggregates the
+            # Process-wide incremental counters (cut promotion, core
+            # retention) — the router's scatter-gather aggregates the
             # per-shard retention rates from this block.
             "incremental": incremental_statistics(),
         }

@@ -167,9 +167,6 @@ class VerificationService:
             "recovered": 0,
             "resumed": 0,
         }
-        #: The simplify-cache directory this service attached (see
-        #: :meth:`_cache_for_call`); detached again on :meth:`close`.
-        self._simplify_dir: str | None = None
         #: Whether dispatcher threads drain the queue after close() (the
         #: default) or leave queued jobs for the journal to resume.
         self._drain_on_close = True
@@ -227,17 +224,6 @@ class VerificationService:
                 self._engine.shutdown()
                 self._engine = None
                 self._owns_engine = False
-            simplify_dir = self._simplify_dir
-            self._simplify_dir = None
-        if simplify_dir is not None:
-            from pathlib import Path
-
-            from repro.constraints.simplify_cache import active_cache, configure_simplify_cache
-
-            # Detach the disk layer — unless another session re-pointed it
-            # at its own directory in the meantime (last one wins).
-            if active_cache().directory == Path(simplify_dir):
-                configure_simplify_cache(None)
 
     @property
     def closed(self) -> bool:
@@ -275,18 +261,6 @@ class VerificationService:
                 from repro.engine.cache import ResultCache
 
                 self._cache = ResultCache(self.options.cache_dir)
-                # Sessions with a result cache also persist simplified
-                # constraint systems (keyed by content hash) under the same
-                # directory, so repeated batch runs skip the simplifier
-                # across processes.  The disk layer is process-global (the
-                # call sites live deep in the verification layer): the most
-                # recently opened cache wins, and close() detaches it again.
-                import os
-
-                from repro.constraints.simplify_cache import configure_simplify_cache
-
-                self._simplify_dir = os.path.join(self.options.cache_dir, "simplified")
-                configure_simplify_cache(self._simplify_dir)
             return self._cache
 
     def analysis_context(self, protocol):

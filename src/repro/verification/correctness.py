@@ -18,7 +18,7 @@ Predicates must offer the small interface implemented by
 
 The predicate's formulas are compiled into the constraint IR
 (:func:`repro.presburger.ir.predicate_system`) together with the terminal
-pattern block, simplified, and handed to whichever solver backend the
+pattern block, constant-folded, and handed to whichever solver backend the
 registry provides; like the StrongConsensus check, all structural
 artifacts come from the shared :class:`AnalysisContext`.
 """
@@ -34,7 +34,6 @@ from repro.constraints.builders import ConstraintBuilder
 from repro.constraints.context import AnalysisContext
 from repro.constraints.incremental import ScopedSimplifier, bump
 from repro.constraints.ir import DEFAULT_BOUND
-from repro.constraints.simplify import SimplifyStats
 from repro.datatypes.multiset import Multiset
 from repro.engine import monitor
 from repro.protocols.protocol import PopulationProtocol
@@ -87,7 +86,6 @@ def check_correctness_impl(
         context = AnalysisContext(protocol)
     start = time.perf_counter()
     refinements: list[RefinementStep] = []
-    simplifier = SimplifyStats()
     statistics = {"iterations": 0, "traps": 0, "siphons": 0, "solver_instances": 1}
 
     # One persistent solver for both output directions and all terminal
@@ -100,9 +98,7 @@ def check_correctness_impl(
     solver = create_solver(backend, theory=theory)
     variables = builder.correctness_variables()
     _input_vars, c0, c1, x1 = variables
-    scoped = ScopedSimplifier(
-        builder.correctness_base_system(variables), tighten_bounds=False, stats=simplifier
-    )
+    scoped = ScopedSimplifier(builder.correctness_base_system(variables))
     scoped.system.assert_into(solver)
     predicate_memo: dict[int, tuple] = {}
 
@@ -116,8 +112,7 @@ def check_correctness_impl(
 
     def finish(result: CorrectnessResult) -> CorrectnessResult:
         statistics["solver"] = dict(solver.statistics)
-        statistics["simplifier"] = simplifier.to_dict()
-        statistics["scoped_simplifier"] = scoped.savings_summary()
+        statistics["simplifier"] = scoped.stats.to_dict()
         statistics["backend"] = resolve_backend_name(backend)
         statistics["time"] = time.perf_counter() - start
         return result
@@ -133,7 +128,6 @@ def check_correctness_impl(
             statistics["pattern_pairs"] = statistics.get("pattern_pairs", 0) + 1
             pattern_start = len(refinements)
             solver.push()
-            scoped.push()
             try:
                 outcome = _solve_pattern(
                     protocol,
@@ -152,7 +146,6 @@ def check_correctness_impl(
                 )
             finally:
                 solver.pop()
-                scoped.pop()
             promote_cuts(refinements[pattern_start:])
             if outcome is not None:
                 return finish(
@@ -201,11 +194,10 @@ def _solve_pattern(
         predicate_memo[expected_output] = entry
     pred_bounds, pred_constraints = entry
     # The predicate's fresh existential variables (e.g. remainder
-    # quotients) are declared unscoped — solver scopes never retract
-    # declarations, so the mirror system must not either.  Re-declaring
-    # on a later scope with the same direction is idempotent.
+    # quotients) are declared on the solver, which never retracts a
+    # declaration on pop.  Re-declaring on a later scope with the same
+    # direction is idempotent.
     for variable, (lower, upper) in pred_bounds.items():
-        scoped.declare(variable, lower, upper)
         if (lower, upper) != DEFAULT_BOUND:
             solver.int_var(variable, lower=lower, upper=upper)
     delta = [

@@ -357,11 +357,11 @@ def smt_partition_search(
     ``u``, which is sufficient but slightly stronger).
 
     The encoding is routed through the constraint IR and a
-    :class:`ScopedSimplifier`: the base (simplified once — folding kills the
+    :class:`ScopedSimplifier`: the base (folded once — folding kills the
     ``|T|`` vacuous ``t == u`` implications of condition (b), whose
     antecedent ``b_t < b_t`` is constantly false) is asserted once, and each
-    round ``k`` is a scoped delta of ``b_t <= k`` atoms pushed and popped on
-    the solver.  The returned partition is re-checked by
+    round ``k`` is a delta of ``b_t <= k`` atoms pushed and popped on the
+    solver.  The returned partition is re-checked by
     :func:`check_partition`.
     """
     transitions = list(protocol.transitions)
@@ -415,20 +415,18 @@ def smt_partition_search(
             )
             system.add(Implies(layer_var[u] < layer_var[t], enabled_below))
 
-    scoped = ScopedSimplifier(system, tighten_bounds=False)
+    scoped = ScopedSimplifier(system)
     scoped.system.assert_into(solver)
 
     for num_layers in range(1, max_layers + 1):
         round_atoms = [layer_var[t] <= num_layers for t in transitions]
         solver.push()
-        scoped.push()
         try:
             for formula in scoped.add_delta(*round_atoms):
                 solver.add(formula)
             result = solver.check()
         finally:
             solver.pop()
-            scoped.pop()
         if result.status is not SolverStatus.SAT:
             continue
         assignment = {t: result.model.value(layer_var[t]) for t in transitions}

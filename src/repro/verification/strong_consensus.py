@@ -17,9 +17,9 @@ exponentially many); instead we run a counterexample-guided refinement loop:
    counterexample and StrongConsensus fails.
 
 Constraint blocks are assembled by the shared IR builders
-(:mod:`repro.constraints.builders`), normalised by the simplifier
-(:mod:`repro.constraints.simplify`) and solved by whichever backend the
-registry provides (:mod:`repro.constraints.backends`); structural artifacts
+(:mod:`repro.constraints.builders`), constant-folded and split into
+conjuncts (:class:`~repro.constraints.incremental.ScopedSimplifier`) and
+solved by whichever backend the registry provides (:mod:`repro.constraints.backends`); structural artifacts
 (terminal patterns, the trap/siphon basis) come from the per-protocol
 :class:`~repro.constraints.context.AnalysisContext` so they are computed at
 most once per protocol, however many properties a session checks.
@@ -54,8 +54,6 @@ from repro.constraints.builders import (  # noqa: F401  (re-exported legacy surf
 )
 from repro.constraints.context import AnalysisContext
 from repro.constraints.incremental import ScopedSimplifier, bump
-from repro.constraints.simplify import SimplifyStats
-from repro.constraints.simplify_cache import simplify_system_cached
 from repro.engine import monitor
 from repro.petri.traps_siphons import (
     maximal_siphon_with_support_outside,
@@ -246,7 +244,6 @@ def _check_with_patterns(
 ) -> StrongConsensusResult:
     builder = context.builder
     refinements: list[RefinementStep] = []
-    simplifier = SimplifyStats()
     statistics = {"iterations": 0, "traps": 0, "siphons": 0, "pattern_pairs": 0, "solver_instances": 1}
 
     # One persistent solver for all pattern pairs.  The base block (initial
@@ -254,15 +251,13 @@ def _check_with_patterns(
     # live at base level, in general form; a pair's scope carries only its
     # pattern membership and output formulas.  Learned lemmas — blocking
     # clauses and memoized theory checks over the shared atoms — survive
-    # across pairs, so later pairs start warm.  The ScopedSimplifier mirrors
-    # the solver's scope stack and dedups/subsumes deltas online instead of
-    # re-simplifying the full pair system per pair.
+    # across pairs, so later pairs start warm.  Every block passes through
+    # the ScopedSimplifier (constant folding, conjunction splitting) on its
+    # way to the solver.
     solver = create_solver(backend, theory=theory)
     variables = builder.consensus_variables()
     c0, c1, c2, x1, x2 = variables
-    scoped = ScopedSimplifier(
-        builder.consensus_base_system(variables), tighten_bounds=False, stats=simplifier
-    )
+    scoped = ScopedSimplifier(builder.consensus_base_system(variables))
     scoped.system.assert_into(solver)
 
     pattern_memo: dict[tuple[int, TerminalPattern], object] = {}
@@ -273,8 +268,7 @@ def _check_with_patterns(
 
         ``find_refinement`` can never rediscover a cut whose general form is
         already active (the model would have to violate it), so promotion
-        introduces no duplicates across pairs — but the index still guards
-        against textual repeats from symmetric pairs.
+        introduces no duplicates across pairs.
         """
         for step in new_steps:
             for cut in _general_consensus_cuts(builder, variables, step):
@@ -315,8 +309,7 @@ def _check_with_patterns(
 
     def finish(result: StrongConsensusResult) -> StrongConsensusResult:
         statistics["solver"] = dict(solver.statistics)
-        statistics["simplifier"] = simplifier.to_dict()
-        statistics["scoped_simplifier"] = scoped.savings_summary()
+        statistics["simplifier"] = scoped.stats.to_dict()
         return result
 
     for pattern_true in true_patterns:
@@ -331,7 +324,6 @@ def _check_with_patterns(
                 continue
             pair_start = len(refinements)
             solver.push()
-            scoped.push()
             try:
                 outcome = _solve_pattern_pair(
                     protocol,
@@ -349,7 +341,6 @@ def _check_with_patterns(
                 )
             finally:
                 solver.pop()
-                scoped.pop()
             promote_cuts(refinements[pair_start:])
             if outcome is not None:
                 return finish(
@@ -381,7 +372,7 @@ def _solve_pattern_pair(
 
     Earlier pairs' cuts already live at base level in general form, so the
     scope's delta is just ``delta_formulas`` (pattern memberships + output
-    presence), normalised against the persistent index; cuts found *during*
+    presence); cuts found *during*
     this pair are asserted inside the scope (the caller re-promotes them to
     base after pop).
     """
@@ -459,29 +450,29 @@ def _check_monolithic(
     builder = context.builder
     supports = context.transition_supports
     solver = create_solver(backend, theory=theory)
-    simplifier = SimplifyStats()
 
     variables = builder.consensus_variables()
     c0, c1, c2, x1, x2 = variables
 
     # The flow equations are substituted away: c1 and c2 are expressions over
-    # c0 and the flow vectors rather than fresh variables.  The whole
-    # monolithic block benefits from the simplifier: transitions sharing a
-    # pre multiset produce duplicate ``Terminal`` clauses, which are now
-    # asserted once.
+    # c0 and the flow vectors rather than fresh variables.  Transitions
+    # sharing a pre multiset produce duplicate ``Terminal`` clauses; they
+    # reach the solver as they come, which repeats a few clauses and
+    # changes no verdict.
     system = builder.consensus_base_system(variables)
     system.add(builder.terminal(c1))
     system.add(builder.terminal(c2))
     system.add(builder.has_output(c1, 1))
     system.add(builder.has_output(c2, 0))
-    simplify_system_cached(system, simplifier=simplifier).assert_into(solver)
+    folded = ScopedSimplifier(system)
+    folded.system.assert_into(solver)
 
     refinements: list[RefinementStep] = []
     statistics = {"iterations": 0, "traps": 0, "siphons": 0}
 
     def finish(result: StrongConsensusResult) -> StrongConsensusResult:
         statistics["solver"] = dict(solver.statistics)
-        statistics["simplifier"] = simplifier.to_dict()
+        statistics["simplifier"] = folded.stats.to_dict()
         return result
 
     for iteration in range(max_refinements):

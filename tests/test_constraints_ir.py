@@ -1,9 +1,9 @@
-"""Tests for the constraint IR and its simplifier.
+"""Tests for the constraint IR and its folding pass.
 
-The property-based part checks the simplifier's contract on randomly
-generated systems: for random integer assignments the simplified system
-(bounds + constraints) evaluates exactly like the original, and a solver
-reaches the same verdict on both.
+The property-based part checks the pass's contract on randomly generated
+systems: for random integer assignments the normalised system (bounds +
+constraints) evaluates exactly like the original, and a solver reaches the
+same verdict on both.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import random
 
 import pytest
 
-from repro.constraints import ConstraintSystem, simplify_system
-from repro.constraints.simplify import fold_constants
+from repro.constraints import ConstraintSystem
+from repro.constraints.incremental import ScopedSimplifier, fold_constants
 from repro.smtlite.formula import FALSE, TRUE, Implies, Not, Or, conjunction
 from repro.smtlite.solver import Solver, SolverStatus
 from repro.smtlite.terms import IntVar, LinearExpr
@@ -75,18 +75,20 @@ class TestSimplifierUnits:
         x = IntVar("x")
         system = ConstraintSystem()
         system.add(TRUE, x >= 1)
-        simplified, stats = simplify_system(system)
-        assert stats.folded == 1  # the bare TRUE conjunct disappears
+        simplified = ScopedSimplifier(system).system
+        assert simplified.constraints == [x >= 1]  # the bare TRUE conjunct disappears
         system2 = ConstraintSystem()
         system2.add(Implies(FALSE, x >= 5))
-        simplified2, stats2 = simplify_system(system2)
-        assert stats2.folded == 1 and len(simplified2) == 0
+        scoped2 = ScopedSimplifier(system2)
+        assert scoped2.stats.folded == 1 and len(scoped2.system) == 0
         system3 = ConstraintSystem()
         system3.add(x >= 1)
         system3.add(FALSE)
-        simplified3, stats3 = simplify_system(system3)
-        assert stats3.collapsed_to_false
-        assert simplified3.constraints == [FALSE]
+        simplified3 = ScopedSimplifier(system3).system
+        assert simplified3.constraints == [x >= 1, FALSE]
+        solver = Solver()
+        simplified3.assert_into(solver)
+        assert solver.check().status is SolverStatus.UNSAT
 
     def test_fold_constants_preserves_structure(self):
         x, y = IntVar("x"), IntVar("y")
@@ -94,60 +96,29 @@ class TestSimplifierUnits:
         folded = fold_constants(formula)
         # Constants fold away but the implication shape survives (no NNF).
         assert folded == Implies(x >= 1, y >= 2)
-
-    def test_bound_tightening(self):
-        x = IntVar("x")
-        system = ConstraintSystem()
-        system.declare("x")
-        system.add(x <= 7)
-        system.add(2 * x <= 9)           # x <= 4
-        system.add(-3 * x <= -4)         # x >= 2
-        simplified, stats = simplify_system(system)
-        assert stats.bounds_tightened == 3
-        assert simplified.bounds["x"] == (2, 4)
-        assert len(simplified) == 0
+        # A FALSE consequent turns the implication into a negation.
+        cut = Implies(conjunction([x >= 1, y >= 1]), FALSE)
+        assert fold_constants(cut) == Not(conjunction([x >= 1, y >= 1]))
 
     def test_contradictory_bounds_collapse(self):
         x = IntVar("x")
         system = ConstraintSystem()
         system.add(x >= 5)
         system.add(x <= 3)
-        simplified, stats = simplify_system(system)
-        assert stats.collapsed_to_false
+        simplified = ScopedSimplifier(system).system
         solver = Solver()
         simplified.assert_into(solver)
         assert solver.check().status is SolverStatus.UNSAT
 
     def test_tighten_bounds_off_keeps_atoms(self):
+        """Single-variable atoms stay atoms: a solver scope cannot retract a bound."""
         x = IntVar("x")
         system = ConstraintSystem()
+        system.declare("x", 0, 9)
         system.add(x <= 7)
-        simplified, stats = simplify_system(system, tighten_bounds=False)
-        assert stats.bounds_tightened == 0
-        assert len(simplified) == 1
-
-    def test_duplicate_elimination(self):
-        x, y = IntVar("x"), IntVar("y")
-        system = ConstraintSystem()
-        system.add(x + y >= 3)
-        system.add(x + y >= 3)
-        system.add(Implies(x >= 1, y >= 1))
-        system.add(Implies(x >= 1, y >= 1))
-        simplified, stats = simplify_system(system)
-        assert stats.duplicates_removed == 2
-        assert len(simplified) == 2
-
-    def test_subsumption_keeps_tightest_constant(self):
-        x, y = IntVar("x"), IntVar("y")
-        system = ConstraintSystem()
-        system.add(x + y <= 5)
-        system.add(x + y <= 2)
-        simplified, stats = simplify_system(system, tighten_bounds=False)
-        assert stats.subsumed_removed == 1
-        assert len(simplified) == 1
-        # The survivor is the tighter one.
-        assert not simplified.evaluate({"x": 2, "y": 1})
-        assert simplified.evaluate({"x": 1, "y": 1})
+        simplified = ScopedSimplifier(system).system
+        assert simplified.bounds == {"x": (0, 9)}
+        assert simplified.constraints == [x <= 7]
 
 
 # ----------------------------------------------------------------------
@@ -204,14 +175,13 @@ def test_simplified_system_evaluates_identically(seed):
     """Random integer assignments cannot distinguish original and simplified."""
     rng = random.Random(seed)
     system = _random_system(rng)
-    for tighten in (True, False):
-        simplified, _stats = simplify_system(system, tighten_bounds=tighten)
-        names = sorted(system.variables() | simplified.variables())
-        for _ in range(60):
-            assignment = {name: rng.randint(-8, 12) for name in names}
-            assert simplified.evaluate(assignment) == system.evaluate(assignment), (
-                f"seed={seed} tighten={tighten} assignment={assignment}"
-            )
+    simplified = ScopedSimplifier(system).system
+    names = sorted(system.variables() | simplified.variables())
+    for _ in range(60):
+        assignment = {name: rng.randint(-8, 12) for name in names}
+        assert simplified.evaluate(assignment) == system.evaluate(assignment), (
+            f"seed={seed} assignment={assignment}"
+        )
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -220,7 +190,7 @@ def test_simplified_system_has_same_solver_verdict(seed):
     rng = random.Random(1000 + seed)
     system = _random_system(rng)
     verdicts = []
-    for candidate in (system, simplify_system(system)[0], simplify_system(system, False)[0]):
+    for candidate in (system, ScopedSimplifier(system).system):
         solver = Solver()
         candidate.assert_into(solver)
         # Bounds on variables the solver never sees through constraints must
@@ -229,4 +199,4 @@ def test_simplified_system_has_same_solver_verdict(seed):
             lower, upper = candidate.bound_of(name)
             solver.int_var(name, lower=lower, upper=upper)
         verdicts.append(solver.check().status)
-    assert verdicts[0] == verdicts[1] == verdicts[2], f"seed={seed}: {verdicts}"
+    assert verdicts[0] == verdicts[1], f"seed={seed}: {verdicts}"

@@ -9,7 +9,9 @@ protocols rather than on the hand-written families:
   real execution (Observation 11);
 * potential reachability over-approximates real reachability;
 * every configuration reached by simulation of a silent protocol and
-  declared terminal really is terminal.
+  declared terminal really is terminal;
+* the two StrongConsensus encodings (terminal-pattern pairs and the paper's
+  monolithic system) and both theory solvers give the same verdict.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.verification.flow import (
     satisfies_flow_equations,
 )
 from repro.petri.traps_siphons import is_siphon, is_trap
+from repro.verification.strong_consensus import check_strong_consensus_impl
 
 
 @st.composite
@@ -127,3 +130,21 @@ class TestRandomProtocolInvariants:
         if result.converged:
             assert is_terminal(protocol, result.final)
         assert result.final.size() == configuration.size()
+
+
+class TestEncodingsAgree:
+    @given(random_protocols())
+    @settings(max_examples=60, deadline=None)
+    def test_strong_consensus_verdict_is_encoding_independent(self, data):
+        protocol, _configuration = data
+        verdicts = {
+            (strategy, theory): check_strong_consensus_impl(
+                protocol, theory=theory, strategy=strategy
+            ).holds
+            for strategy, theory in (
+                ("patterns", "auto"),
+                ("monolithic", "auto"),
+                ("patterns", "exact"),
+            )
+        }
+        assert len(set(verdicts.values())) == 1, verdicts

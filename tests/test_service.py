@@ -122,8 +122,6 @@ class TestJobLifecycle:
 
     def test_single_submits_share_the_result_cache(self, tmp_path):
         """A serve daemon's submit traffic must hit the cache, not just batches."""
-        from repro.constraints.simplify_cache import configure_simplify_cache
-
         cache_dir = str(tmp_path / "cache")
         with VerificationService(cache_dir=cache_dir) as service:
             cold = service.submit(majority_protocol(), properties=["layered_termination"])
@@ -138,7 +136,6 @@ class TestJobLifecycle:
             assert "cache_hit" in kinds
             # The cached report carries *this* job's trail, ending in its finish.
             assert report.statistics["events"][-1]["event"] == "job_finished"
-        configure_simplify_cache(None)
 
     def test_broken_subscriber_does_not_break_the_job(self):
         def explode(event):
@@ -260,8 +257,6 @@ class TestCancellation:
 
 class TestBatchJobs:
     def test_submit_batch_returns_batch_result_with_cache_hits(self, tmp_path):
-        from repro.constraints.simplify_cache import configure_simplify_cache
-
         protocols = [majority_protocol(), majority_protocol(), broadcast_protocol()]
         with VerificationService(cache_dir=str(tmp_path / "cache")) as service:
             cold = service.submit_batch(protocols, properties=["layered_termination"])
@@ -275,7 +270,6 @@ class TestBatchJobs:
             kinds = [event.TYPE for event in warm.events_so_far()]
             assert "cache_hit" in kinds
             assert batch.statistics["events"]  # the trail is embedded here too
-        configure_simplify_cache(None)  # do not leave the disk layer on tmp_path
 
 
 class TestConcurrentWorkers:
