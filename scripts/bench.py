@@ -199,11 +199,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        help="solver backend (smtlite, scipy-ilp, portfolio; default: $REPRO_BACKEND or smtlite)",
-    )
-    parser.add_argument(
         "--cache-dir",
         type=Path,
         default=None,
@@ -222,10 +217,7 @@ def main(argv: list[str] | None = None) -> int:
 
         cache = ResultCache(args.cache_dir)
 
-    overrides = {"jobs": args.jobs}
-    if args.backend is not None:
-        overrides["backend"] = args.backend
-    options = VerificationOptions(**overrides)
+    options = VerificationOptions(jobs=args.jobs)
     entries = []
     with Verifier(options) as verifier:
         for family, parameter, factory in benchmark_suite(args.large):

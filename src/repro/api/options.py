@@ -22,19 +22,6 @@ THEORIES = ("auto", "scipy", "exact")
 CONSENSUS_STRATEGIES = ("auto", "patterns", "monolithic")
 
 
-def _default_backend() -> str:
-    """The default solver backend, overridable via ``REPRO_BACKEND``.
-
-    The environment hook is what the CI backend matrix uses: exporting
-    ``REPRO_BACKEND=scipy-ilp`` runs every ``Verifier`` (and every
-    deprecated shim) of a process against that backend without touching a
-    single call site.
-    """
-    from repro.constraints.backends import resolve_backend_name
-
-    return resolve_backend_name(None)
-
-
 def _default_retry():
     """The service-tier retry/timeout policy (see :mod:`repro.engine.retry`).
 
@@ -60,9 +47,8 @@ class VerificationOptions:
     backend:
         Solver backend from the registry
         (:func:`repro.constraints.backends.available_backends`):
-        ``"smtlite"`` (DPLL(T)), ``"scipy-ilp"`` (direct ILP case
-        splitting) or ``"portfolio"``.  Defaults to the ``REPRO_BACKEND``
-        environment variable, falling back to ``"smtlite"``.
+        ``"smtlite"`` (DPLL(T), the default), or ``"z3"`` when the optional
+        z3 package is installed.
     max_layers:
         Layer bound of the exact SMT partition search (``None`` = default).
     materialize_rankings:
@@ -111,7 +97,7 @@ class VerificationOptions:
 
     strategy: str = "auto"
     theory: str = "auto"
-    backend: str = field(default_factory=_default_backend)
+    backend: str = "smtlite"
     max_layers: int | None = None
     materialize_rankings: bool = False
     check_consensus_first: bool = False

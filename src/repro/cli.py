@@ -322,11 +322,7 @@ def _add_verifier_options(parser: argparse.ArgumentParser) -> None:
         "--backend",
         default=None,
         choices=sorted(available_backends()),
-        help=(
-            "solver backend from the registry (default: $REPRO_BACKEND or smtlite); "
-            "smtlite = DPLL(T), scipy-ilp = direct ILP case splitting, "
-            "portfolio = cheapest-first race of the two"
-        ),
+        help="solver backend from the registry (default: smtlite, the DPLL(T) solver)",
     )
     parser.add_argument(
         "--property",

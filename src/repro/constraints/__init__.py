@@ -11,9 +11,8 @@ The layer between the verification procedures and the solvers:
   paper's recurring constraint blocks (flow equations, trap/siphon cuts,
   terminal-pattern memberships) as reusable builders;
 * :mod:`repro.constraints.backends` — the :class:`SolverBackend` registry
-  (``smtlite`` DPLL(T), ``scipy-ilp`` direct case splitting, ``portfolio``)
-  behind which every property check obtains its solvers;
-* :mod:`repro.constraints.direct` — the direct-ILP solving loop;
+  (the ``smtlite`` DPLL(T) solver, plus ``z3`` when it imports) behind
+  which every property check obtains its solvers;
 * :mod:`repro.constraints.context` — :class:`AnalysisContext`: per-protocol
   structural artifacts (terminal patterns, trap/siphon bases, normal form,
   U-sets) computed lazily, exactly once, and shared across property checks.
@@ -36,17 +35,14 @@ from repro.constraints.builders import (
     terminal_support_patterns,
 )
 from repro.constraints.context import AnalysisContext
-from repro.constraints.direct import CaseBudgetExceeded, DirectILPSolver
 from repro.constraints.ir import ConstraintSystem
 
 __all__ = [
     "AnalysisContext",
-    "CaseBudgetExceeded",
     "ConstraintBuilder",
     "ConstraintSolver",
     "ConstraintSystem",
     "DEFAULT_BACKEND",
-    "DirectILPSolver",
     "SolverBackend",
     "TerminalPattern",
     "available_backends",

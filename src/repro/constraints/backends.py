@@ -1,48 +1,36 @@
 """Pluggable solver backends behind a single registry.
 
-The verification layer never constructs a concrete solver any more: it asks
-the registry for one (:func:`create_solver`), names travel through
+The verification layer never constructs a concrete solver: it asks the
+registry for one (:func:`create_solver`), names travel through
 :class:`~repro.api.options.VerificationOptions` / the CLI ``--backend``
-flag / the batch engine's option envelopes, and new backends (a z3 adapter,
-say) plug in with :func:`register_backend` without touching a property
-check.
+flag / the batch engine's option envelopes, and further backends plug in
+with :func:`register_backend` without touching a property check.
 
-Three backends ship by default:
-
-``smtlite``
-    The lazy DPLL(T) solver of :mod:`repro.smtlite.solver` — CNF + CDCL SAT
-    engine + theory checks on demand.  The right choice for systems with
-    real boolean structure (the monolithic StrongConsensus encoding, the
-    Appendix D.1 partition search).
-``scipy-ilp``
-    The direct-ILP loop of :mod:`repro.constraints.direct`: the few
-    disjunctions of a pattern-factored system are split combinatorially and
-    each case goes straight to integer feasibility (HiGHS MILP via scipy
-    when available, the exact branch-and-bound otherwise).  Falls back to a
-    DPLL(T) mirror if the case product outgrows its budget, so verdicts
-    never depend on the budget.
-``portfolio``
-    A cheapest-first race: a tightly budgeted direct-ILP attempt answers
-    the near-conjunctive queries immediately, and anything structurally
-    heavier is handed to a persistent DPLL(T) solver.  (The two runners
-    share each query sequentially rather than on threads — both are pure
-    Python, so a wall-clock race under the GIL would only add overhead.)
+One backend ships by default, ``smtlite``: the lazy DPLL(T) solver of
+:mod:`repro.smtlite.solver` (CNF + CDCL SAT engine + integer theory checks
+on demand), which decides exactly the boolean combinations of linear
+constraints over the naturals that the WS³ reduction produces.  The
+optional ``z3`` adapter (:mod:`repro.constraints.z3_backend`) registers
+itself when z3 imports; it is the independent reference the cross-backend
+parity tests compare verdicts against.
 
 Every backend returns objects implementing the :class:`ConstraintSolver`
 protocol, which is exactly the incremental surface the verification layer
-uses; parity across backends is asserted by the cross-backend tests.
+uses.
 
 Graceful degradation.  :func:`create_solver` wraps every solver in a
-:class:`ResilientSolver`: a backend crashing mid-check (a segfaulting
-native library, an injected fault) *demotes* that backend for the rest of
-the process and the crashed query — together with the solver's entire
-assertion state, replayed from an operation log — moves to the next backend
-of :data:`FALLBACK_CHAIN`.  Formulas and linear expressions are
+:class:`ResilientSolver`: a solver crashing mid-check (a segfaulting native
+library, an injected fault) *demotes* its backend for the rest of the
+process, and the crashed query — together with the solver's entire
+assertion state, replayed from an operation log — moves down the chain
+``z3 → smtlite → smtlite on the exact theory solver``.  The last hop swaps
+the scipy (HiGHS) theory solver for the pure-Python exact one; a crash on
+the exact theory re-raises.  Formulas and linear expressions are
 solver-agnostic symbolic objects, so the replay reproduces the exact
 constraint store and the fallback verdict is the verdict.  Demotions are
-session-wide (new solvers skip demoted backends), observable through
-:func:`demoted_backends` / :func:`health_statistics`, reported once per
-demotion as a ``backend_degraded`` progress event, and reversible with
+session-wide (new solvers start where the chain left off), observable
+through :func:`demoted_backends` / :func:`health_statistics`, reported once
+per demotion as a ``backend_degraded`` progress event, and reversible with
 :func:`reset_backend_health`.
 """
 
@@ -53,11 +41,10 @@ import time
 from collections.abc import Iterable, Sequence
 from typing import Protocol, runtime_checkable
 
-from repro.constraints.direct import CaseBudgetExceeded, DirectILPSolver
 from repro.obs import trace
 from repro.obs.metrics import REGISTRY
 from repro.smtlite.formula import Formula
-from repro.smtlite.solver import Solver, SolverResult, SolverStatus
+from repro.smtlite.solver import Solver, SolverResult
 from repro.smtlite.terms import LinearExpr
 
 
@@ -91,7 +78,7 @@ class SolverBackend(Protocol):
 
 
 # ----------------------------------------------------------------------
-# The built-in backends
+# The built-in backend
 # ----------------------------------------------------------------------
 
 
@@ -102,89 +89,6 @@ class SmtliteBackend:
 
     def create_solver(self, theory: str = "auto") -> ConstraintSolver:
         return Solver(theory=theory)
-
-
-class ScipyILPBackend:
-    """Direct ILP case splitting with a DPLL(T) escape hatch."""
-
-    name = "scipy-ilp"
-
-    def __init__(self, max_cases: int = 512):
-        self.max_cases = max_cases
-
-    def create_solver(self, theory: str = "auto") -> ConstraintSolver:
-        return DirectILPSolver(theory=theory, max_cases=self.max_cases, fallback=True)
-
-
-class PortfolioSolver:
-    """Cheapest-first structural race between direct ILP and DPLL(T).
-
-    Assertions are mirrored into both runners; each :meth:`check` first
-    gives the tightly budgeted direct-ILP runner a shot (it answers the
-    near-conjunctive queries of the pattern strategies with a handful of
-    feasibility calls) and hands everything heavier to the persistent
-    DPLL(T) solver, whose learned lemmas accumulate across the session.
-    ``statistics`` records which runner answered each query.
-    """
-
-    def __init__(self, theory: str = "auto", direct_max_cases: int = 64):
-        self._direct = DirectILPSolver(
-            theory=theory, max_cases=direct_max_cases, fallback=False
-        )
-        self._dpllt = Solver(theory=theory)
-        self.statistics = {"checks": 0, "direct_wins": 0, "dpllt_wins": 0}
-
-    def int_var(
-        self, name: str, lower: int | None = 0, upper: int | None = None
-    ) -> LinearExpr:
-        self._dpllt.int_var(name, lower=lower, upper=upper)
-        return self._direct.int_var(name, lower=lower, upper=upper)
-
-    def add(self, *formulas: Formula) -> None:
-        self._direct.add(*formulas)
-        self._dpllt.add(*formulas)
-
-    def push(self) -> None:
-        self._direct.push()
-        self._dpllt.push()
-
-    def pop(self) -> None:
-        self._direct.pop()
-        self._dpllt.pop()
-
-    @property
-    def num_scopes(self) -> int:
-        return self._direct.num_scopes
-
-    def check(self, assumptions: Sequence[Formula] = ()) -> SolverResult:
-        self.statistics["checks"] += 1
-        try:
-            result = self._direct.check(assumptions=assumptions)
-        except CaseBudgetExceeded:
-            self.statistics["dpllt_wins"] += 1
-            return self._dpllt.check(assumptions=assumptions)
-        if result.status is SolverStatus.UNKNOWN:
-            # Theory budget exhausted on the direct path; give the DPLL(T)
-            # runner its shot before reporting UNKNOWN.
-            self.statistics["dpllt_wins"] += 1
-            return self._dpllt.check(assumptions=assumptions)
-        self.statistics["direct_wins"] += 1
-        return result
-
-    def check_conjunction(self, formulas: Iterable[Formula]) -> SolverResult:
-        return self._direct.check_conjunction(formulas)
-
-
-class PortfolioBackend:
-    """The portfolio runner (direct ILP raced against DPLL(T))."""
-
-    name = "portfolio"
-
-    def __init__(self, direct_max_cases: int = 64):
-        self.direct_max_cases = direct_max_cases
-
-    def create_solver(self, theory: str = "auto") -> ConstraintSolver:
-        return PortfolioSolver(theory=theory, direct_max_cases=self.direct_max_cases)
 
 
 # ----------------------------------------------------------------------
@@ -230,32 +134,13 @@ DEFAULT_BACKEND = "smtlite"
 
 
 def resolve_backend_name(name: str | None) -> str:
-    """Map ``None`` (and the empty string) to the default backend name.
-
-    The default honours the ``REPRO_BACKEND`` environment variable (the CI
-    backend-matrix hook), so the unified API and the deprecated per-property
-    shims resolve to the same backend in the same process.
-    """
-    if name:
-        return name
-    import os
-
-    return os.environ.get("REPRO_BACKEND") or DEFAULT_BACKEND
+    """Map ``None`` (and the empty string) to the default backend name."""
+    return name or DEFAULT_BACKEND
 
 
 # ----------------------------------------------------------------------
 # Graceful degradation
 # ----------------------------------------------------------------------
-
-#: Where a crashed backend's work moves: each backend names its fallback
-#: (``None`` terminates the chain).  Backends registered by plugins default
-#: to falling back on ``smtlite``.
-FALLBACK_CHAIN: dict[str, str | None] = {
-    "z3": "smtlite",
-    "portfolio": "smtlite",
-    "smtlite": "scipy-ilp",
-    "scipy-ilp": None,
-}
 
 _HEALTH_LOCK = threading.Lock()
 _DEMOTED: dict[str, str] = {}  # backend name -> reason of first crash
@@ -279,59 +164,50 @@ _CHECK_SECONDS = REGISTRY.histogram(
 )
 
 
-def _next_healthy(name: str) -> str | None:
-    """The first registered, non-demoted backend down ``name``'s chain."""
-    seen = {name}
-    current = FALLBACK_CHAIN.get(name, DEFAULT_BACKEND)
-    while current is not None and current not in seen:
-        seen.add(current)
-        if current not in _DEMOTED and current in _REGISTRY:
-            return current
-        current = FALLBACK_CHAIN.get(current)
-    return None
+def demote_backend(name: str, reason: str) -> None:
+    """Mark ``name`` crashed for the rest of the process.
 
-
-def demote_backend(name: str, reason: str) -> str | None:
-    """Mark ``name`` crashed for the rest of the process; return its fallback.
-
-    Idempotent: a backend already demoted (by a sibling solver) keeps its
-    first recorded reason and is not double counted.  The first demotion of
-    each backend emits a ``backend_degraded`` progress event when the
-    calling thread is bound to a job.  Returns ``None`` when nothing
-    healthy is left down the chain.
+    Its fallback is always ``smtlite``: every other backend falls back on
+    it, and a demoted ``smtlite`` keeps serving on the exact theory solver
+    (see :func:`_effective_theory`).  Idempotent: a backend already demoted
+    (by a sibling solver) keeps its first recorded reason and is not double
+    counted.  The first demotion of each backend emits a
+    ``backend_degraded`` progress event when the calling thread is bound to
+    a job.
     """
     with _HEALTH_LOCK:
         fresh = name not in _DEMOTED
         if fresh:
             _DEMOTED[name] = reason
             _HEALTH_STATS["demotions"] += 1
-        fallback = _next_healthy(name)
     if fresh:
         _HEALTH_EVENTS.inc(event="demotions")
         _DEMOTIONS.inc(backend=name)
-    if fresh:
         from repro.engine import monitor
 
-        monitor.emit_backend_degraded(name, fallback or "", reason)
-    return fallback
+        monitor.emit_backend_degraded(name, DEFAULT_BACKEND, reason)
 
 
 def effective_backend(name: str) -> str:
     """Map a requested backend to the one actually serving it.
 
     Healthy (or unknown — the registry raises its standard error later)
-    names pass through; demoted names resolve down the fallback chain.
+    names pass through; demoted names resolve to ``smtlite``, which always
+    serves.
     """
     with _HEALTH_LOCK:
-        if name not in _DEMOTED:
-            return name
-        fallback = _next_healthy(name)
-    if fallback is None:
-        raise RuntimeError(
-            f"solver backend {name!r} is demoted ({_DEMOTED[name]}) "
-            "and no healthy fallback remains"
-        )
-    return fallback
+        return DEFAULT_BACKEND if name in _DEMOTED else name
+
+
+def _effective_theory(backend: str, theory: str) -> str:
+    """The theory preference a new solver of ``backend`` is created with.
+
+    Once ``smtlite`` has been demoted it runs on the exact theory solver
+    instead of the scipy (HiGHS) one: the last hop of the chain.
+    """
+    with _HEALTH_LOCK:
+        smtlite_demoted = DEFAULT_BACKEND in _DEMOTED
+    return "exact" if backend == DEFAULT_BACKEND and smtlite_demoted else theory
 
 
 def demoted_backends() -> dict[str, str]:
@@ -359,13 +235,12 @@ class ResilientSolver:
 
     Every state-changing operation (``int_var``/``add``/``push``/``pop``)
     is recorded in an operation log before being forwarded.  When a
-    ``check`` raises — a genuinely crashed backend, not a
-    :class:`~repro.constraints.direct.CaseBudgetExceeded` control-flow
-    signal — the backend is demoted process-wide, the log is replayed into
-    a fresh solver from the fallback chain (formulas are solver-agnostic
-    symbolic objects, so the replayed constraint store is identical) and
-    the crashed query is re-asked there.  Callers never see the crash
-    unless the whole chain is exhausted.
+    ``check`` raises — a genuinely crashed solver, not a job cancellation —
+    the backend is demoted process-wide, the log is replayed into a fresh
+    solver one hop down the chain (formulas are solver-agnostic symbolic
+    objects, so the replayed constraint store is identical) and the crashed
+    query is re-asked there.  Callers see the crash only when it happens on
+    smtlite with the exact theory solver, the end of the chain.
     """
 
     def __init__(self, backend: str | None = None, theory: str = "auto"):
@@ -373,7 +248,9 @@ class ResilientSolver:
         self.theory = theory
         self._log: list[tuple[str, tuple]] = []
         self.backend_name = effective_backend(self.requested)
-        self._solver = get_backend(self.backend_name).create_solver(theory=theory)
+        self._solver = get_backend(self.backend_name).create_solver(
+            theory=_effective_theory(self.backend_name, theory)
+        )
 
     # -- logged state changes ---------------------------------------------
 
@@ -430,23 +307,23 @@ class ResilientSolver:
                     time.perf_counter() - started, backend=self.backend_name
                 )
                 return result
-            except (CaseBudgetExceeded, JobCancelledError):
-                # Control flow, not a crash: budget escapes are a documented
-                # part of the solver surface, cancellation belongs to the job.
+            except JobCancelledError:
+                # Control flow, not a crash: cancellation belongs to the job.
                 raise
             except Exception as error:
                 with _HEALTH_LOCK:
                     _HEALTH_STATS["failed_checks"] += 1
                 _HEALTH_EVENTS.inc(event="failed_checks")
-                fallback = demote_backend(
-                    self.backend_name, f"{type(error).__name__}: {error}"
-                )
-                if fallback is None:
-                    raise
-                self._rebuild(fallback)
+                if self.backend_name == DEFAULT_BACKEND and self._solver.theory_name == "exact":
+                    raise  # the end of the chain
+                demote_backend(self.backend_name, f"{type(error).__name__}: {error}")
+                self._rebuild()
 
-    def _rebuild(self, name: str) -> None:
-        solver = get_backend(name).create_solver(theory=self.theory)
+    def _rebuild(self) -> None:
+        """Replay the operation log into a fresh smtlite solver."""
+        solver = get_backend(DEFAULT_BACKEND).create_solver(
+            theory=_effective_theory(DEFAULT_BACKEND, self.theory)
+        )
         for op, args in self._log:
             if op == "int_var":
                 solver.int_var(args[0], lower=args[1], upper=args[2])
@@ -456,7 +333,7 @@ class ResilientSolver:
                 solver.push()
             else:
                 solver.pop()
-        self.backend_name = name
+        self.backend_name = DEFAULT_BACKEND
         self._solver = solver
         with _HEALTH_LOCK:
             _HEALTH_STATS["replays"] += 1
@@ -481,15 +358,13 @@ def create_solver(backend: str | None = None, theory: str = "auto") -> Constrain
     """The one place the verification layer obtains solvers from.
 
     The returned solver is wrapped for graceful degradation (see
-    :class:`ResilientSolver`): a backend crash demotes the backend and the
-    query continues on the fallback chain.
+    :class:`ResilientSolver`): a solver crash demotes its backend and the
+    query continues one hop down the chain.
     """
     return ResilientSolver(backend=backend, theory=theory)
 
 
-for _backend in (SmtliteBackend(), ScipyILPBackend(), PortfolioBackend()):
-    register_backend(_backend)
-del _backend
+register_backend(SmtliteBackend())
 
 # The z3 adapter is registered only when its optional dependency imports —
 # gated exactly like the scipy theory backend.  With z3 absent, "z3" is

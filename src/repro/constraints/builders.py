@@ -14,8 +14,8 @@ and terminal-support-pattern memberships.  This module owns all of them:
   variable groups) ready for constant folding and any backend.
 
 Everything here is pure construction: no solver is touched, which is what
-lets the same blocks serve the smtlite DPLL(T) backend, the direct-ILP
-backend and every other registered backend.
+lets the same blocks serve the smtlite DPLL(T) backend and every other
+registered backend.
 """
 
 from __future__ import annotations

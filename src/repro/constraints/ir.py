@@ -159,8 +159,7 @@ class ConstraintSystem:
 
         ``solver`` is any object implementing the
         :class:`~repro.constraints.backends.ConstraintSolver` protocol
-        (``int_var`` + ``add``); both the smtlite DPLL(T) solver and the
-        direct-ILP solver qualify.
+        (``int_var`` + ``add``).
 
         Default-bound variables are *not* declared: ``(0, None)`` is every
         solver's implicit domain already, and explicitly declaring a

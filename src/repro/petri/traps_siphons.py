@@ -17,9 +17,7 @@ fixed point — which is what the CEGAR refinement loop of Section 6 uses.
 Nets and protocols share one implementation here: every function operates
 on "transition-like" objects (anything with ``pre``/``post`` multisets),
 which both :class:`repro.petri.net.PetriTransition` and
-:class:`repro.protocols.protocol.Transition` are.  The historical
-protocol-specific copies under ``repro.verification.traps_siphons`` are a
-deprecated re-export shim over this module.
+:class:`repro.protocols.protocol.Transition` are.
 
 The fixed points accept an optional precomputed ``supports`` mapping
 (transition -> ``(pre-support, post-support)`` frozensets) — the

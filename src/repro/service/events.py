@@ -148,9 +148,11 @@ class BackendSelected(ProgressEvent):
 class BackendDegraded(ProgressEvent):
     """A solver backend crashed mid-check and was demoted for the session.
 
-    Work continues on ``fallback`` (the next backend of the declared
-    degradation chain); new solver instances skip the demoted backend
-    entirely until :func:`~repro.constraints.backends.reset_backend_health`.
+    Work continues on ``fallback``, always ``smtlite``: other backends fall
+    back on it, and a demoted ``smtlite`` (``fallback == backend``) goes on
+    with the exact theory solver instead of the scipy one.  New solver
+    instances start on the fallback until
+    :func:`~repro.constraints.backends.reset_backend_health`.
     """
 
     backend: str = ""
@@ -271,7 +273,10 @@ def describe_event(event: ProgressEvent) -> str:
     if isinstance(event, BackendSelected):
         return f"{prefix} backend {event.backend} ({event.scope})"
     if isinstance(event, BackendDegraded):
-        return f"{prefix} backend {event.backend} degraded to {event.fallback}: {event.reason}"
+        target = (
+            "the exact theory solver" if event.fallback == event.backend else event.fallback
+        )
+        return f"{prefix} backend {event.backend} degraded to {target}: {event.reason}"
     if isinstance(event, CacheHit):
         return f"{prefix} cache hit for {event.protocol_name}"
     if isinstance(event, JobRecovered):

@@ -157,9 +157,9 @@ class Solver:
             "theory_cache_misses": 0,
             "pushes": 0,
             "pops": 0,
-            # Lemma/core retention across scopes (cf. DirectILPSolver): cores
-            # are content+bounds-keyed, so they stay valid across pops and
-            # are deliberately kept.
+            # Lemma/core retention across scopes: cores are
+            # content+bounds-keyed, so they stay valid across pops and are
+            # deliberately kept.
             "cores_learned": 0,
             "cores_retained_across_pops": 0,
         }
@@ -244,6 +244,11 @@ class Solver:
     @property
     def num_scopes(self) -> int:
         return len(self._scopes)
+
+    @property
+    def theory_name(self) -> str:
+        """The theory solver in use: ``"scipy"`` (HiGHS) or ``"exact"``."""
+        return self._theory.name
 
     # ------------------------------------------------------------------
     # Solving

@@ -380,10 +380,7 @@ def smt_partition_search(
     # One persistent solver for the whole 1..max_layers sweep: the encoding
     # is built once for the largest bound, and each round k is checked under
     # the scoped delta ``b_t <= k``.  Lemmas learned while refuting small
-    # bounds carry over to the larger ones.  (The encoding is deeply
-    # disjunctive, so the direct-ILP backend's case budget overflows and it
-    # answers through its DPLL(T) escape hatch — same verdicts, asserted by
-    # the parity tests.)
+    # bounds carry over to the larger ones.
     solver = create_solver(backend, theory=theory)
     system = ConstraintSystem("layered-termination")
     layer_var = {

@@ -11,8 +11,6 @@ import importlib
 import sys
 import warnings
 
-import pytest
-
 from repro.api import Verifier
 from repro.constraints.context import AnalysisContext
 from repro.protocols.library import majority_protocol, remainder_protocol
@@ -136,14 +134,6 @@ class TestLinearArtifacts:
 
 
 class TestDeprecatedTrapsSiphonsShim:
-    def test_old_import_path_warns_and_reexports(self):
-        sys.modules.pop("repro.verification.traps_siphons", None)
-        with pytest.warns(DeprecationWarning, match="repro.petri.traps_siphons"):
-            shim = importlib.import_module("repro.verification.traps_siphons")
-        canonical = importlib.import_module("repro.petri.traps_siphons")
-        assert shim.maximal_trap_with_support_outside is canonical.maximal_trap_with_support_outside
-        assert shim.is_trap is canonical.is_trap
-
     def test_canonical_import_does_not_warn(self):
         sys.modules.pop("repro.petri.traps_siphons", None)
         with warnings.catch_warnings():

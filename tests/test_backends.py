@@ -1,4 +1,4 @@
-"""Tests for the solver-backend registry, the direct-ILP solver and the portfolio."""
+"""Tests for the solver-backend registry and the default backend's verdicts."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import random
 import pytest
 
 from repro.constraints.backends import (
-    PortfolioSolver,
     available_backends,
     create_solver,
     get_backend,
@@ -15,28 +14,25 @@ from repro.constraints.backends import (
     resolve_backend_name,
     unregister_backend,
 )
-from repro.constraints.direct import CaseBudgetExceeded, DirectILPSolver
-from repro.smtlite.formula import Implies, Or
-from repro.smtlite.solver import Solver, SolverStatus
+from repro.constraints.z3_backend import z3_available
+from repro.smtlite.formula import Or
+from repro.smtlite.solver import Solver
 from repro.smtlite.terms import IntVar
 
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        assert set(available_backends()) >= {"smtlite", "scipy-ilp", "portfolio"}
+        expected = ("smtlite", "z3") if z3_available() else ("smtlite",)
+        assert available_backends() == expected
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown solver backend"):
             get_backend("z3")
 
-    def test_none_resolves_to_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_none_resolves_to_default(self):
         assert resolve_backend_name(None) == "smtlite"
-        assert resolve_backend_name("portfolio") == "portfolio"
-
-    def test_none_resolves_through_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "portfolio")
-        assert resolve_backend_name(None) == "portfolio"
+        assert resolve_backend_name("") == "smtlite"
+        assert resolve_backend_name("z3") == "z3"
 
     def test_duplicate_registration_guard(self):
         class Custom:
@@ -64,115 +60,9 @@ class TestRegistry:
             register_backend(Nameless())
 
 
-class TestDirectILPSolver:
-    def test_conjunctive_sat_and_unsat(self):
-        x, y = IntVar("x"), IntVar("y")
-        solver = DirectILPSolver()
-        solver.add(x + y >= 4, x <= 2, y <= 2)
-        result = solver.check()
-        assert result.status is SolverStatus.SAT
-        assert result.model.value(x) + result.model.value(y) >= 4
-        solver.add(x + y <= 3)
-        assert solver.check().status is SolverStatus.UNSAT
-
-    def test_disjunctions_are_case_split(self):
-        x = IntVar("x")
-        solver = DirectILPSolver()
-        solver.add(Or(x >= 10, x <= 2))
-        solver.add(x >= 3)
-        result = solver.check()
-        assert result.status is SolverStatus.SAT
-        assert result.model.value(x) >= 10
-        assert solver.statistics["direct_checks"] >= 1
-        assert solver.statistics["fallbacks"] == 0
-
-    def test_push_pop_scopes(self):
-        x = IntVar("x")
-        solver = DirectILPSolver()
-        solver.int_var("x", lower=0, upper=9)
-        solver.add(x >= 1)
-        solver.push()
-        solver.add(x >= 100)
-        assert solver.check().status is SolverStatus.UNSAT
-        solver.pop()
-        assert solver.check().status is SolverStatus.SAT
-        with pytest.raises(RuntimeError):
-            solver.pop()
-
-    def test_assumptions_do_not_persist(self):
-        x = IntVar("x")
-        solver = DirectILPSolver()
-        solver.add(x <= 5)
-        assert solver.check(assumptions=[x >= 7]).status is SolverStatus.UNSAT
-        assert solver.check().status is SolverStatus.SAT
-
-    def test_budget_overflow_falls_back_to_dpllt(self):
-        variables = [IntVar(f"b{index}") for index in range(8)]
-        solver = DirectILPSolver(max_cases=4, fallback=True)
-        for variable in variables:
-            solver.add(Or(variable <= 0, variable >= 2))
-        solver.add(sum(variables[1:], variables[0]) >= 15)
-        result = solver.check()
-        assert result.status is SolverStatus.SAT
-        assert solver.statistics["fallbacks"] == 1
-        # The fallback mirror replays the construction log exactly.
-        assert solver._mirror is not None
-
-    def test_budget_overflow_raises_without_fallback(self):
-        variables = [IntVar(f"b{index}") for index in range(8)]
-        solver = DirectILPSolver(max_cases=4, fallback=False)
-        for variable in variables:
-            solver.add(Or(variable <= 0, variable >= 2))
-        with pytest.raises(CaseBudgetExceeded):
-            solver.check()
-
-    def test_check_conjunction_matches_solver(self):
-        x, y = IntVar("x"), IntVar("y")
-        formulas = [x + y >= 3, x <= 1, y <= 1]
-        direct = DirectILPSolver().check_conjunction(formulas)
-        dpllt = Solver().check_conjunction(formulas)
-        assert direct.status == dpllt.status is SolverStatus.UNSAT
-
-    def test_models_are_reverified(self):
-        x = IntVar("x")
-        solver = DirectILPSolver()
-        solver.add(Implies(x >= 1, x >= 5), x >= 1)
-        result = solver.check()
-        assert result.status is SolverStatus.SAT
-        assert result.model.value(x) >= 5
-
-
-class TestPortfolioSolver:
-    def test_direct_wins_on_conjunctive_queries(self):
-        x = IntVar("x")
-        solver = PortfolioSolver()
-        solver.add(x >= 3, x <= 9)
-        assert solver.check().status is SolverStatus.SAT
-        assert solver.statistics["direct_wins"] == 1
-        assert solver.statistics["dpllt_wins"] == 0
-
-    def test_dpllt_takes_over_past_the_case_budget(self):
-        variables = [IntVar(f"b{index}") for index in range(10)]
-        solver = PortfolioSolver(direct_max_cases=4)
-        for variable in variables:
-            solver.add(Or(variable <= 0, variable >= 2))
-        assert solver.check().status is SolverStatus.SAT
-        assert solver.statistics["dpllt_wins"] == 1
-
-    def test_scopes_stay_in_sync(self):
-        x = IntVar("x")
-        solver = PortfolioSolver()
-        solver.add(x <= 5)
-        solver.push()
-        solver.add(x >= 7)
-        assert solver.check().status is SolverStatus.UNSAT
-        solver.pop()
-        assert solver.check().status is SolverStatus.SAT
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_random_formula_verdict_parity_across_backends(seed):
-    """All backends agree with the DPLL(T) reference on random systems."""
+    """The default backend agrees with DPLL(T) on the exact theory solver."""
     rng = random.Random(2000 + seed)
     variables = [IntVar(f"v{index}") for index in range(3)]
 
@@ -190,11 +80,8 @@ def test_random_formula_verdict_parity_across_backends(seed):
         else:
             formulas.append(Or(random_atom(), random_atom()))
 
-    reference = Solver()
+    reference = Solver(theory="exact")
     reference.add(*formulas)
-    expected = reference.check().status
-
-    for backend in ("scipy-ilp", "portfolio"):
-        solver = create_solver(backend)
-        solver.add(*formulas)
-        assert solver.check().status == expected, f"seed={seed} backend={backend}"
+    solver = create_solver()
+    solver.add(*formulas)
+    assert solver.check().status == reference.check().status, f"seed={seed}"

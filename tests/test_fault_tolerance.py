@@ -10,7 +10,6 @@ from repro.api.options import VerificationOptions
 from repro.api.report import Verdict
 from repro.api.verifier import Verifier
 from repro.constraints.backends import (
-    FALLBACK_CHAIN,
     ResilientSolver,
     demoted_backends,
     effective_backend,
@@ -76,15 +75,22 @@ class TestRetryPolicy:
 
 
 class TestBackendDegradation:
+    """The last hop of the chain: smtlite on scipy → smtlite on the exact theory."""
+
     def test_crashed_check_falls_back_along_the_chain(self):
+        clean = ResilientSolver(backend="smtlite")
+        clean.add(clean.int_var("x", lower=0, upper=5) >= 3)
+        expected = clean.check().status
         install_plan({"faults": [{"site": "backend.check", "action": "raise", "at": 1}]})
         solver = ResilientSolver(backend="smtlite")
+        assert solver.theory_name == "scipy"
         x = solver.int_var("x", lower=0, upper=5)
         solver.add(x >= 3)
         result = solver.check()
-        assert result.status is SolverStatus.SAT
-        assert solver.backend_name == FALLBACK_CHAIN["smtlite"]
-        assert "smtlite" in demoted_backends()
+        assert result.status is expected is SolverStatus.SAT
+        assert solver.backend_name == "smtlite"
+        assert solver.theory_name == "exact"
+        assert set(demoted_backends()) == {"smtlite"}
         stats = health_statistics()
         assert stats["demotions"] == 1
         assert stats["failed_checks"] == 1
@@ -97,9 +103,10 @@ class TestBackendDegradation:
         solver.add(x >= 4)
         assert solver.check().status is SolverStatus.SAT  # occurrence 1: fine
         solver.add(x <= 3)
-        # Occurrence 2 crashes smtlite; the replayed store on the fallback
-        # must still contain both constraints and answer UNSAT.
+        # Occurrence 2 crashes smtlite on scipy; the store replayed into
+        # smtlite on the exact theory must still hold both constraints.
         assert solver.check().status is SolverStatus.UNSAT
+        assert solver.theory_name == "exact"
 
     def test_exhausted_chain_re_raises(self):
         install_plan({"faults": [{"site": "backend.check", "action": "raise"}]})
@@ -108,8 +115,11 @@ class TestBackendDegradation:
         solver.add(x >= 0)
         with pytest.raises(FaultInjected):
             solver.check()
-        demoted = demoted_backends()
-        assert "smtlite" in demoted and "scipy-ilp" in demoted
+        # One hop (scipy → exact), then the crash on the exact theory re-raises.
+        assert solver.theory_name == "exact"
+        assert set(demoted_backends()) == {"smtlite"}
+        stats = health_statistics()
+        assert (stats["demotions"], stats["failed_checks"], stats["replays"]) == (1, 2, 1)
 
     def test_demotion_is_session_wide(self):
         install_plan({"faults": [{"site": "backend.check", "action": "raise", "at": 1}]})
@@ -117,16 +127,18 @@ class TestBackendDegradation:
         x = crashed.int_var("x")
         crashed.add(x >= 0)
         crashed.check()
-        # A *new* solver for the same backend starts on the fallback.
-        assert effective_backend("smtlite") == FALLBACK_CHAIN["smtlite"]
-        assert ResilientSolver(backend="smtlite").backend_name == FALLBACK_CHAIN["smtlite"]
+        # A *new* smtlite solver starts on the exact theory.
+        assert effective_backend("smtlite") == "smtlite"
+        fresh = ResilientSolver(backend="smtlite")
+        assert (fresh.backend_name, fresh.theory_name) == ("smtlite", "exact")
         reset_backend_health()
-        assert ResilientSolver(backend="smtlite").backend_name == "smtlite"
+        assert ResilientSolver(backend="smtlite").theory_name == "scipy"
 
     def test_degradation_does_not_change_the_verdict(self):
         install_plan({"faults": [{"site": "backend.check", "action": "raise", "at": 1}]})
         with Verifier() as verifier:
             degraded = verifier.check(majority_protocol(), properties=["ws3"])
+        assert set(demoted_backends()) == {"smtlite"}
         reset_backend_health()
         clear_plan()
         with Verifier() as verifier:

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.constraints import backends
 from repro.constraints.backends import create_solver
-from repro.constraints.direct import DirectILPSolver
 from repro.constraints.incremental import ScopedSimplifier, incremental_statistics
 from repro.constraints.ir import ConstraintSystem
 from repro.protocols.library import flock_of_birds_protocol
@@ -212,36 +211,6 @@ def test_folded_cuts_reach_the_solver(monkeypatch):
     assert any(
         isinstance(formula, Not) and isinstance(formula.operand, And) for formula in asserted
     )
-
-
-# ----------------------------------------------------------------------
-# Learned cores survive pops (direct-ILP backend)
-# ----------------------------------------------------------------------
-
-
-def test_direct_ilp_cores_survive_pops():
-    solver = DirectILPSolver()
-    u = solver.int_var("u", 0, 5)
-    solver.push()
-    # Unsatisfiable atoms force a theory conflict and a learned core.
-    solver.add(u >= 3, u <= 1)
-    assert solver.check().status is SolverStatus.UNSAT
-    assert solver.statistics["cores_learned"] >= 1
-    before = incremental_statistics()
-    solver.pop()
-    after = incremental_statistics()
-    assert solver.statistics["cores_retained_across_pops"] >= 1
-    assert after["cores_retained_across_pops"] > before["cores_retained_across_pops"]
-    assert after["pops_with_live_cores"] > before["pops_with_live_cores"]
-    # The retained core still answers without a theory call: a *superset*
-    # of the learned core on a fresh scope (a new union, so the result memo
-    # misses) is refuted by core subsumption alone.
-    v = solver.int_var("v", 0, 5)
-    solver.push()
-    solver.add(u >= 3, u <= 1, v <= 2)
-    assert solver.check().status is SolverStatus.UNSAT
-    assert solver.statistics["core_subsumptions"] >= 1
-    solver.pop()
 
 
 # ----------------------------------------------------------------------

@@ -162,18 +162,34 @@ class TestJobLifecycle:
             service.submit(broadcast_protocol())
 
 
+def _hold_dispatcher(started: threading.Event, gate: threading.Event):
+    """A subscriber that parks the dispatcher inside its job's ``job_started``.
+
+    ``job_started`` is recorded on the dispatcher thread, so once ``started``
+    is set the dispatcher has popped this job and the queue can build up
+    behind it until ``gate`` opens.
+    """
+
+    def subscriber(event):
+        if event.TYPE == "job_started":
+            started.set()
+            gate.wait(30)
+
+    return subscriber
+
+
 class TestPriorities:
     def test_higher_priority_jobs_run_first(self):
         order: list[str] = []
-        gate = threading.Event()
+        started, gate = threading.Event(), threading.Event()
 
         with VerificationService() as service:
-            # Hold the single dispatcher hostage so the queue builds up
-            # (job_started is recorded from the dispatcher thread).
+            # Hold the single dispatcher hostage so the queue builds up; the
+            # queued jobs are submitted only once it has popped the blocker.
             blocker = service.submit(
-                broadcast_protocol(),
-                subscriber=lambda e: gate.wait(30) if e.TYPE == "job_started" else None,
+                broadcast_protocol(), subscriber=_hold_dispatcher(started, gate)
             )
+            assert started.wait(30)
             low = service.submit(
                 remainder_protocol([1], 3, 1),
                 properties=["layered_termination"],
@@ -193,12 +209,14 @@ class TestPriorities:
 
 class TestCancellation:
     def test_cancelled_queued_job_never_runs_and_later_jobs_complete(self):
-        gate = threading.Event()
+        started, gate = threading.Event(), threading.Event()
         with VerificationService() as service:
             blocker = service.submit(
-                broadcast_protocol(),
-                subscriber=lambda e: gate.wait(30) if e.TYPE == "job_started" else None,
+                broadcast_protocol(), subscriber=_hold_dispatcher(started, gate)
             )
+            # Only once the dispatcher runs the blocker is `doomed` sure to
+            # stay queued (with priority 5 it would otherwise run first).
+            assert started.wait(30)
             doomed = service.submit(majority_protocol(), priority=5)
             survivor = service.submit(remainder_protocol([1], 3, 1), priority=1)
             assert doomed.cancel()
