@@ -23,8 +23,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.constraints.ir import ConstraintSystem
 from repro.datatypes.multiset import Multiset
 from repro.protocols.protocol import Configuration, PopulationProtocol, Transition
@@ -63,24 +61,51 @@ def terminal_support_patterns(protocol: PopulationProtocol) -> list[TerminalPatt
     non-silent transition.  A configuration is terminal iff its support is an
     independent set of this graph and every state with a non-silent
     self-interaction holds at most one agent.  Patterns are the maximal
-    independent sets (computed via maximal cliques of the complement graph).
+    independent sets (the maximal cliques of the complement graph, see
+    :func:`maximal_cliques`).
     """
-    graph = nx.Graph()
-    graph.add_nodes_from(protocol.states)
+    conflicts: dict = {state: set() for state in protocol.states}
     self_forbidden: set = set()
     for transition in protocol.transitions:
         support = sorted(transition.pre.support(), key=repr)
         if len(support) == 1:
             self_forbidden.add(support[0])
         else:
-            graph.add_edge(support[0], support[1])
-    complement = nx.complement(graph)
+            conflicts[support[0]].add(support[1])
+            conflicts[support[1]].add(support[0])
+    compatible = {state: set(conflicts) - neighbours - {state} for state, neighbours in conflicts.items()}
     patterns = []
-    for clique in nx.find_cliques(complement):
-        allowed = frozenset(clique)
+    for allowed in maximal_cliques(compatible):
         patterns.append(TerminalPattern(allowed=allowed, capped=frozenset(allowed & self_forbidden)))
     patterns.sort(key=lambda pattern: sorted(map(repr, pattern.allowed)))
     return patterns
+
+
+def maximal_cliques(adjacency: dict) -> list[frozenset]:
+    """Every maximal clique of an undirected graph, by Bron–Kerbosch with pivoting.
+
+    ``adjacency`` maps each vertex to the set of its neighbours (symmetric,
+    no self-loops).  A graph without vertices has no clique.  The order of
+    the result depends on set iteration, so callers sort it.
+    """
+    cliques: list[frozenset] = []
+
+    def expand(clique: frozenset, candidates: set, excluded: set) -> None:
+        if not candidates and not excluded:
+            cliques.append(clique)
+            return
+        # Branching on the pivot's non-neighbours only skips cliques that
+        # would be found again through the pivot.
+        pivot = max(candidates | excluded, key=lambda vertex: len(candidates & adjacency[vertex]))
+        for vertex in list(candidates - adjacency[pivot]):
+            neighbours = adjacency[vertex]
+            expand(clique | {vertex}, candidates & neighbours, excluded & neighbours)
+            candidates.remove(vertex)
+            excluded.add(vertex)
+
+    if adjacency:
+        expand(frozenset(), set(adjacency), set())
+    return cliques
 
 
 # ----------------------------------------------------------------------

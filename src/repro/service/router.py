@@ -440,13 +440,17 @@ class RouterSession(ServeSession):
         forward = self._forwardable(request)
         stream = bool(forward.pop("stream", False))
         response = self.router.shard_call(shard, forward)
-        if response.get("ok"):
-            self.router.count_routed(shard)
-            local_id = response.get("job", "")
-            self._session_jobs.append(f"{shard}:{local_id}")
-            if stream:
-                self._start_stream(shard, local_id)
-        return self._relay(shard, response, request_id)
+        if not response.get("ok"):
+            return self._relay(shard, response, request_id)
+        self.router.count_routed(shard)
+        local_id = response.get("job", "")
+        self._session_jobs.append(f"{shard}:{local_id}")
+        handled = self._relay(shard, response, request_id)
+        if stream:
+            # After the reply is written, so the client learns the job id
+            # before the job's first event reaches it.
+            self._start_stream(shard, local_id)
+        return handled
 
     def _handle_status(self, request: dict, request_id) -> bool:
         return self._proxy(request, request_id)

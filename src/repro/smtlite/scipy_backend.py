@@ -1,18 +1,21 @@
-"""Theory backend based on scipy's HiGHS solvers.
+"""Theory backend based on scipy's HiGHS solver.
 
 This backend decides conjunctions of linear integer constraints with HiGHS
 branch-and-cut, driven through the ``_Highs`` object that scipy ships
-(``scipy.optimize._highspy._core``, scipy >= 1.15), and extracts conflict
+(``scipy.optimize._highspy._core``, scipy >= 1.15; :mod:`repro.smtlite.highs`
+loads it without the rest of ``scipy.optimize``), and extracts conflict
 cores from the dual multipliers of an *elastic* LP relaxation.  It is
 considerably faster than the pure-Python exact backend on the larger
 constraint systems produced by the threshold/remainder/flock-of-birds
-benchmarks.
+benchmarks.  Apart from that extension it needs numpy only: matrices are
+plain CSR/CSC arrays (:class:`_Rows`), never ``scipy.sparse`` objects.
 
 Incrementality: the DPLL(T) loop and the CEGAR refinement of the
 verification layer pose long sequences of closely related conjunctions, so
 the backend keeps a grow-only variable→column index and caches the sparse
-row of every constraint it has ever seen; each call assembles its matrix by
-stacking cached rows.  Columns belonging to variables of earlier calls are
+row of every constraint it has ever seen; each call assembles its CSR
+arrays by stacking cached rows and derives the column-wise arrays HiGHS
+takes from them.  Columns belonging to variables of earlier calls are
 harmless: their coefficients are zero and their bounds default to the
 natural numbers.  Each call then passes **one** HiGHS model
 (:class:`_HighsModel`) and keeps it for the whole call: the feasibility
@@ -21,15 +24,18 @@ candidate, the dichotomic shrink, the deletion minimisation) run on it.  A
 probe keeps a subset of rows by setting the other rows' upper bounds to
 ``+inf`` — only rows whose state changed are touched — and clears the
 solver state before each run, so a probe answers as a fresh model of the
-subset would.
+subset would.  The elastic LP is a separate one-shot LP
+(:func:`repro.smtlite.highs.solve_lp`) with the inputs and options
+``scipy.optimize.linprog(method="highs")`` would give HiGHS.
 
 Known models: every HiGHS run that ends with an optimum leaves its rounded
 integer solution in a pool of the session's :data:`_POOL_SIZE` most recent
 ones, stored over the grow-only column index.  On its first probe a call
-tabulates, in int64 arithmetic, which of its rows each pooled model
-satisfies with that row's columns inside the call's bounds, and adds a
-column for every solution found afterwards.  A probe whose rows all hold
-for one model is answered "not proven" without a HiGHS run.
+tabulates, in numpy int64 arithmetic over the stored entries, which of its
+rows each pooled model satisfies with that row's columns inside the call's
+bounds, and adds a column for every solution found afterwards.  A probe
+whose rows all hold for one model is answered "not proven" without a HiGHS
+run.
 
 Soundness: HiGHS works in floating point, so
 
@@ -65,19 +71,20 @@ import time
 from collections import deque
 from collections.abc import Sequence
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize, sparse
-from scipy.optimize._highspy._core import (
+
+from repro.obs.metrics import REGISTRY
+from repro.smtlite.highs import (
     HighsLp,
     HighsModelStatus,
     HighsStatus,
     HighsVarType,
     MatrixFormat,
     _Highs,
+    solve_lp,
 )
-
-from repro.obs.metrics import REGISTRY
 from repro.smtlite.theory import (
     Bounds,
     ExactTheorySolver,
@@ -110,6 +117,52 @@ _PROBES = REGISTRY.counter(
 _PooledModel = tuple[np.ndarray, int]
 
 
+class _Rows(NamedTuple):
+    """A sparse matrix by rows (CSR arrays).
+
+    Row ``r`` stores ``data[indptr[r]:indptr[r + 1]]`` at the columns
+    ``indices[indptr[r]:indptr[r + 1]]``, each column at most once.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    num_columns: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.indptr) - 1, self.num_columns
+
+    def take(self, rows: Sequence[int]) -> _Rows:
+        """The matrix of ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        lengths = np.diff(self.indptr)[rows]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+        np.cumsum(lengths, out=indptr[1:])
+        positions = np.repeat(self.indptr[rows] - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return _Rows(indptr, self.indices[positions], self.data[positions], self.num_columns)
+
+    def columnwise(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The matrix by columns: CSC ``start``, ``index``, ``value``.
+
+        Rows ascend within each column, so these are the arrays scipy's
+        ``csr_matrix.tocsc()`` gives.
+        """
+        num_rows, num_columns = self.shape
+        order = np.argsort(self.indices, kind="stable")
+        rows = np.repeat(np.arange(num_rows, dtype=np.int32), np.diff(self.indptr))
+        start = np.zeros(num_columns + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.indices, minlength=num_columns), out=start[1:])
+        return start, rows[order], self.data[order]
+
+    def row_sums(self, entries: np.ndarray) -> np.ndarray:
+        """Sum ``entries`` (indexed like ``data`` along the first axis) within each row."""
+        padding = np.zeros((1,) + entries.shape[1:], dtype=entries.dtype)
+        sums = np.add.reduceat(np.concatenate((entries, padding)), self.indptr[:-1], axis=0)
+        sums[self.indptr[:-1] == self.indptr[1:]] = 0  # reduceat's value for an empty row
+        return sums
+
+
 class _HighsModel:
     """One call's MILP ``A x <= rhs`` over integer columns, with switchable rows.
 
@@ -122,7 +175,7 @@ class _HighsModel:
 
     def __init__(
         self,
-        matrix: sparse.csr_matrix,
+        matrix: _Rows,
         rhs: np.ndarray,
         lower: np.ndarray,
         upper: np.ndarray,
@@ -133,16 +186,17 @@ class _HighsModel:
         self.lower = lower
         self.upper = upper
         num_rows, num_columns = matrix.shape
-        columns = matrix.tocsc()
+        self.columns = matrix.columnwise()
+        start, index, value = self.columns
         lp = HighsLp()
         lp.num_col_ = num_columns
         lp.num_row_ = num_rows
         lp.a_matrix_.num_col_ = num_columns
         lp.a_matrix_.num_row_ = num_rows
         lp.a_matrix_.format_ = MatrixFormat.kColwise
-        lp.a_matrix_.start_ = columns.indptr
-        lp.a_matrix_.index_ = columns.indices
-        lp.a_matrix_.value_ = columns.data
+        lp.a_matrix_.start_ = start
+        lp.a_matrix_.index_ = index
+        lp.a_matrix_.value_ = value
         lp.col_cost_ = np.zeros(num_columns)
         lp.col_lower_ = lower
         lp.col_upper_ = upper
@@ -224,7 +278,7 @@ class _HighsModel:
 
     @cached_property
     def _integer_system(self) -> tuple | None:
-        """``(A, pattern of A, rhs, lower, upper, largest row L1 norm)`` in int64.
+        """``(entries of A, rhs, lower, upper, largest row L1 norm)`` in int64.
 
         None when a column's bounds are empty: HiGHS then proves every
         subset infeasible, whatever its rows.  Right-hand sides and bounds
@@ -234,15 +288,13 @@ class _HighsModel:
         lower, upper = self.lower, self.upper
         if np.any(lower > upper):
             return None
-        matrix = self.matrix.astype(np.int64)
-        pattern = matrix.copy()
-        pattern.data = np.ones_like(pattern.data)
-        row_norm = float(np.asarray(abs(self.matrix).sum(axis=1)).max(initial=0.0))
+        entries = self.matrix.data.astype(np.int64)
+        row_norm = float(self.matrix.row_sums(np.abs(self.matrix.data)).max(initial=0.0))
 
         def clipped(values: np.ndarray) -> np.ndarray:
             return np.clip(values, -_INT64_HEADROOM, _INT64_HEADROOM).astype(np.int64)
 
-        return matrix, pattern, clipped(self.rhs), clipped(lower), clipped(upper), row_norm
+        return entries, clipped(self.rhs), clipped(lower), clipped(upper), row_norm
 
     def _witness_columns(self, models: Sequence[_PooledModel]) -> np.ndarray:
         """The table's columns for ``models``, leaving out those int64 cannot evaluate."""
@@ -250,15 +302,18 @@ class _HighsModel:
         system = self._integer_system
         if system is None:
             return np.zeros((num_rows, 0), dtype=bool)
-        matrix, pattern, rhs, lower, upper, row_norm = system
+        entries, rhs, lower, upper, row_norm = system
         usable = [solution for solution, magnitude in models if magnitude * row_norm < _INT64_HEADROOM]
         values = np.zeros((num_columns, len(usable)), dtype=np.int64)
         for position, solution in enumerate(usable):
             width = min(num_columns, len(solution))
             values[:width, position] = solution[:width]
-        holds = matrix @ values <= rhs[:, None]
+        # One row per stored entry of A, one column per model: the entry
+        # times its column's value, and whether that value is out of bounds.
+        columns = self.matrix.indices
+        holds = self.matrix.row_sums(entries[:, None] * values[columns]) <= rhs[:, None]
         outside = (values < lower[:, None]) | (values > upper[:, None])
-        return holds & (pattern @ outside.astype(np.int64) == 0)
+        return holds & (self.matrix.row_sums(outside[columns].astype(np.int64)) == 0)
 
 
 class ScipyTheorySolver(TheorySolverBase):
@@ -357,19 +412,19 @@ class ScipyTheorySolver(TheorySolverBase):
             if name not in index:
                 index[name] = len(index)
 
-    def _constraint_matrix(
-        self, constraints: Sequence[TheoryConstraint]
-    ) -> tuple[sparse.csr_matrix, np.ndarray]:
+    def _constraint_matrix(self, constraints: Sequence[TheoryConstraint]) -> tuple[_Rows, np.ndarray]:
         index = self._var_index
         row_cache = self._row_cache
         data: list[float] = []
-        row_indices: list[int] = []
         column_indices: list[int] = []
+        indptr = np.zeros(len(constraints) + 1, dtype=np.int32)
         rhs = np.empty(len(constraints))
         for row, constraint in enumerate(constraints):
             rhs[row] = -constraint.constant
             cached = row_cache.get(constraint)
             if cached is None:
+                # ``TheoryConstraint.from_expr`` names each variable once, with a
+                # non-zero coefficient, so a row stores each column once.
                 row_data: list[float] = []
                 row_columns: list[int] = []
                 for name, coefficient in constraint.coefficients:
@@ -383,9 +438,9 @@ class ScipyTheorySolver(TheorySolverBase):
                 row_cache[constraint] = cached
             data.extend(cached[0])
             column_indices.extend(cached[1])
-            row_indices.extend([row] * len(cached[0]))
-        matrix = sparse.csr_matrix(
-            (data, (row_indices, column_indices)), shape=(len(constraints), len(index))
+            indptr[row + 1] = len(data)
+        matrix = _Rows(
+            indptr, np.array(column_indices, dtype=np.int32), np.array(data, dtype=float), len(index)
         )
         return matrix, rhs
 
@@ -486,28 +541,36 @@ class ScipyTheorySolver(TheorySolverBase):
         is infeasible and the rows with non-zero dual multipliers form a
         Farkas-style certificate.
         """
-        matrix, rhs = model.matrix, model.rhs
-        num_constraints, num_variables = matrix.shape
-        elastic = sparse.hstack([matrix, -sparse.identity(num_constraints, format="csr")], format="csr")
-        objective = np.concatenate([np.zeros(num_variables), np.ones(num_constraints)])
-        variable_bounds = [
-            (None if np.isneginf(low) else low, None if np.isposinf(high) else high)
-            for low, high in zip(model.lower, model.upper)
-        ] + [(0, None)] * num_constraints
-        result = optimize.linprog(
-            objective,
-            A_ub=elastic,
-            b_ub=rhs,
-            bounds=variable_bounds,
-            method="highs",
+        num_constraints, num_variables = model.matrix.shape
+        # [A, -I] by columns: A's columns, then one slack column per row.
+        start, index, value = model.columns
+        slack_rows = np.arange(num_constraints, dtype=np.int32)
+        elastic = (
+            np.concatenate((start, start[-1] + 1 + slack_rows)),
+            np.concatenate((index, slack_rows)),
+            np.concatenate((value, np.full(num_constraints, -1.0))),
         )
-        if not result.success:
+        solution = solve_lp(
+            np.concatenate((np.zeros(num_variables), np.ones(num_constraints))),
+            elastic,
+            model.rhs,
+            np.concatenate((model.lower, np.zeros(num_constraints))),
+            np.concatenate((model.upper, np.full(num_constraints, np.inf))),
+        )
+        if solution is None:
             return None
-        if result.fun <= _FEASIBILITY_TOLERANCE:
+        if solution.fun <= _FEASIBILITY_TOLERANCE:
             # LP relaxation is feasible: infeasibility is integrality-driven,
             # no cheap certificate available.
             return None
-        marginals = getattr(result.ineqlin, "marginals", None)
-        if marginals is None:
-            return None
-        return [index for index, value in enumerate(marginals) if abs(value) > _MARGINAL_TOLERANCE]
+        return [row for row, dual in enumerate(solution.row_dual) if abs(dual) > _MARGINAL_TOLERANCE]
+
+
+def __getattr__(name: str):
+    # perfbench's tracer reads and rebinds ``optimize``; nothing here calls it.
+    # Delete this together with the tracer repair (ROADMAP, measurement spine).
+    if name == "optimize":
+        from scipy import optimize
+
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -288,21 +288,23 @@ class _Tableau:
     def _pivot(self, pivot_row: int, pivot_column: int, objective_row: list[Fraction]) -> None:
         row = self.rows[pivot_row]
         pivot_value = row[pivot_column]
-        inverse = Fraction(1) / pivot_value
-        self.rows[pivot_row] = [value * inverse for value in row]
-        row = self.rows[pivot_row]
+        if pivot_value != 1:
+            inverse = Fraction(1) / pivot_value
+            row = [value * inverse if value else value for value in row]
+            self.rows[pivot_row] = row
+        # Only the pivot row's non-zero columns (the rhs included) change elsewhere.
+        support = [(column, value) for column, value in enumerate(row) if value]
         for other_index, other_row in enumerate(self.rows):
             if other_index == pivot_row:
                 continue
             factor = other_row[pivot_column]
             if factor != 0:
-                self.rows[other_index] = [
-                    value - factor * row_value for value, row_value in zip(other_row, row)
-                ]
+                for column, value in support:
+                    other_row[column] -= factor * value
         factor = objective_row[pivot_column]
         if factor != 0:
-            for column in range(len(objective_row)):
-                objective_row[column] -= factor * row[column]
+            for column, value in support:
+                objective_row[column] -= factor * value
         self.basis[pivot_row] = pivot_column
 
     def _reduced_objective_row(self, costs: list[Fraction]) -> list[Fraction]:

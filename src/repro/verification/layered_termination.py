@@ -117,28 +117,35 @@ def find_ranking_function(
 
 
 def _ranking_via_scipy(transitions: Sequence[Transition], states: Sequence) -> dict | None:
+    """``min Σ y`` s.t. ``Δ(t)·y <= -1`` per transition, ``y >= 0``, on HiGHS."""
     try:
         import numpy as np
-        from scipy import optimize
+
+        from repro.smtlite.highs import solve_lp
     except ImportError:  # pragma: no cover - scipy is a hard dependency
         return None
-    matrix = np.zeros((len(transitions), len(states)))
+    # The transition-by-state matrix column-wise, without its zero entries.
     column_of = {state: column for column, state in enumerate(states)}
+    entries: list[list[tuple[int, float]]] = [[] for _ in states]
     for row, transition in enumerate(transitions):
         for state, change in transition.delta_map.items():
-            matrix[row, column_of[state]] = change
-    result = optimize.linprog(
-        c=np.ones(len(states)),
-        A_ub=matrix,
-        b_ub=-np.ones(len(transitions)),
-        bounds=[(0, None)] * len(states),
-        method="highs",
+            if change:
+                entries[column_of[state]].append((row, float(change)))
+    start = np.cumsum([0] + [len(column) for column in entries])
+    rows = np.array([row for column in entries for row, _ in column], dtype=np.int32)
+    changes = np.array([change for column in entries for _, change in column])
+    solution = solve_lp(
+        np.ones(len(states)),
+        (start, rows, changes),
+        -np.ones(len(transitions)),
+        np.zeros(len(states)),
+        np.full(len(states), np.inf),
     )
-    if not result.success:
+    if solution is None:
         return None
     ranking = {}
     for column, state in enumerate(states):
-        value = Fraction(float(result.x[column])).limit_denominator(10_000)
+        value = Fraction(float(solution.x[column])).limit_denominator(10_000)
         ranking[state] = value if value > 0 else Fraction(0)
     return ranking
 

@@ -348,7 +348,7 @@ def test_threshold_n_trail_is_unchanged_by_known_models(monkeypatch):
     def witnessed(self, rows):
         answer = original(self, rows)
         if answer:
-            shadow = _HighsModel(self.matrix[rows], self.rhs[rows], self.lower, self.upper, deque())
+            shadow = _HighsModel(self.matrix.take(rows), self.rhs[rows], self.lower, self.upper, deque())
             shadow_statuses.append(shadow.solve()[0])
         return answer
 

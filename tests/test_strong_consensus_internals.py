@@ -8,11 +8,13 @@ data types.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.constraints.builders import maximal_cliques
 from repro.datatypes.multiset import Multiset
 from repro.protocols.library import (
     broadcast_protocol,
@@ -86,6 +88,42 @@ class TestTerminalSupportPatterns:
         pattern = TerminalPattern(allowed=frozenset({"A", "a"}), capped=frozenset())
         assert pattern.admits_output(protocol, 0)
         assert not pattern.admits_output(protocol, 1)
+
+
+@st.composite
+def graphs(draw):
+    """Random undirected graphs on up to 10 vertices, as symmetric adjacency sets."""
+    vertices = range(draw(st.integers(0, 10)))
+    pairs = list(combinations(vertices, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    adjacency = {vertex: set() for vertex in vertices}
+    for left, right in edges:
+        adjacency[left].add(right)
+        adjacency[right].add(left)
+    return adjacency
+
+
+def brute_force_maximal_cliques(adjacency):
+    vertices = list(adjacency)
+    cliques = [
+        frozenset(subset)
+        for size in range(1, len(vertices) + 1)
+        for subset in combinations(vertices, size)
+        if all(right in adjacency[left] for left, right in combinations(subset, 2))
+    ]
+    return {clique for clique in cliques if not any(clique < other for other in cliques)}
+
+
+class TestMaximalCliques:
+    @given(graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_bron_kerbosch_agrees_with_brute_force(self, adjacency):
+        cliques = maximal_cliques(adjacency)
+        assert len(cliques) == len(set(cliques))
+        assert set(cliques) == brute_force_maximal_cliques(adjacency)
+
+    def test_a_graph_without_vertices_has_no_clique(self):
+        assert maximal_cliques({}) == []
 
 
 class TestConstraintBuilder:
