@@ -5,7 +5,12 @@ has a solution over the integers (the paper's constraint systems are over the
 natural numbers).  This module implements the classical branch-and-bound
 scheme on top of :mod:`repro.smtlite.simplex`: solve the LP relaxation
 exactly, and if some integer variable takes a fractional value, branch on the
-two rounded bounds.
+two rounded bounds.  Before a node is branched on, up to two rounds of
+Gomory cuts read off its optimal tableau are added and the node is solved
+again.  A cut removes the fractional vertex but no integer point; cuts decide
+systems without integer points whose LP relaxation is unbounded (parity
+conflicts such as ``2x - 2y == 1`` among other rows), on which branching alone
+never stops.
 
 The search is depth-first and purely a feasibility search (no objective), so
 the first integral LP solution terminates it.  A node budget guards against
@@ -43,6 +48,10 @@ class ILPResult:
 Constraint = tuple[Mapping[str, int], str, int]
 Bounds = Mapping[str, tuple[int | None, int | None]]
 
+#: Gomory cut rounds at one node before it is branched on, and cuts per round.
+_CUT_ROUNDS = 2
+_CUTS_PER_ROUND = 4
+
 
 def solve_integer_feasibility(
     constraints: Sequence[Constraint],
@@ -75,13 +84,19 @@ def solve_integer_feasibility(
     nodes_explored = 0
     root_core: list[int] | None = None
 
-    # Each stack entry is a dict of additional bounds tightened by branching.
-    stack: list[dict[str, tuple[int | None, int | None]]] = [dict()]
+    # Cuts are only valid when every column of the LP is integral.
+    cutting = integer_variables.issuperset(variable_names)
+
+    # Each stack entry holds the bounds tightened by branching, the cuts
+    # valid under them and the number of cut rounds run at this node.
+    stack: list[tuple[dict[str, tuple[int | None, int | None]], list[Constraint], int]] = [
+        (dict(), [], 0)
+    ]
 
     while stack:
         if nodes_explored >= max_nodes:
             return ILPResult(status=ILPStatus.UNKNOWN, nodes_explored=nodes_explored)
-        extra_bounds = stack.pop()
+        extra_bounds, cuts, rounds = stack.pop()
         nodes_explored += 1
 
         program = LinearProgram()
@@ -94,7 +109,7 @@ def solve_integer_feasibility(
                 break
             program.add_variable(name, lower=lower, upper=upper)
         else:
-            for coefficients, sense, rhs in constraints:
+            for coefficients, sense, rhs in (*constraints, *cuts):
                 program.add_constraint(coefficients, sense, rhs)
             solution = program.solve()
             if solution.status is LPStatus.INFEASIBLE:
@@ -115,13 +130,21 @@ def solve_integer_feasibility(
                 return ILPResult(
                     status=ILPStatus.FEASIBLE, values=values, nodes_explored=nodes_explored
                 )
+            if cutting and rounds < _CUT_ROUNDS:
+                new_cuts = program.gomory_cuts(_CUTS_PER_ROUND)
+                if new_cuts:
+                    # Re-solve this node with the cuts before branching on it.
+                    stack.append(
+                        (extra_bounds, cuts + [(row, ">=", rhs) for row, rhs in new_cuts], rounds + 1)
+                    )
+                    continue
             name, value = fractional
             down = dict(extra_bounds)
             down[name] = _merge_branch(down.get(name), upper=floor(value))
             up = dict(extra_bounds)
             up[name] = _merge_branch(up.get(name), lower=ceil(value))
-            stack.append(up)
-            stack.append(down)
+            stack.append((up, cuts, 0))
+            stack.append((down, cuts, 0))
             continue
         # Bound conflict (inner loop broke): infeasible node, nothing to do.
 

@@ -25,6 +25,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
+from math import ceil, floor, gcd, lcm
 
 
 class LPStatus(Enum):
@@ -64,6 +66,7 @@ class LinearProgram:
         self._constraints: list[_Constraint] = []
         self._objective: dict[str, Fraction] = {}
         self._maximize = False
+        self._optimal_tableau: _Tableau | None = None
 
     # ------------------------------------------------------------------
     # Problem construction
@@ -125,6 +128,7 @@ class LinearProgram:
         """Solve the LP with a two-phase exact simplex."""
         tableau = _Tableau.build(self._bounds, self._constraints, self._objective, self._maximize)
         solution = tableau.solve()
+        self._optimal_tableau = tableau if solution.status is LPStatus.OPTIMAL else None
         if solution.status is LPStatus.OPTIMAL:
             objective_value = sum(
                 (coefficient * solution.values[name] for name, coefficient in self._objective.items()),
@@ -132,6 +136,88 @@ class LinearProgram:
             )
             solution.objective = objective_value
         return solution
+
+    def gomory_cuts(self, limit: int) -> list[tuple[dict[str, int], int]]:
+        """Up to ``limit`` Gomory fractional cuts off the last optimal tableau.
+
+        Each cut ``(coefficients, rhs)`` reads ``sum coefficients*var >= rhs``:
+        every integer point of this program satisfies it, the last optimal
+        vertex does not.  A tableau row whose basic column takes a fractional
+        value gives ``sum frac(a_j) * x_j >= frac(b)`` over its non-basic
+        columns, which is rewritten in the program's variables and rounded
+        (Chvátal-Gomory).  Cuts need every column to be integral at integer
+        points, so none are derived when a variable is free or a bound,
+        coefficient or right-hand side is fractional.
+        """
+        tableau = self._optimal_tableau
+        if tableau is None or not self._integral():
+            return []
+        cuts: list[tuple[dict[str, int], int]] = []
+        for row, basic in zip(tableau.rows, tableau.basis):
+            if len(cuts) >= limit:
+                break
+            value = row[-1]
+            if value.denominator == 1 or tableau.column_names[basic][0] == "art":
+                continue
+            coefficients: dict[str, Fraction] = {}
+            rhs = value - floor(value)
+            for column, entry in enumerate(row[:-1]):
+                fraction = entry - floor(entry)
+                if column == basic or fraction == 0 or tableau.column_names[column][0] == "art":
+                    # Artificial columns are zero at every point of the program.
+                    continue
+                terms, constant = self._column_as_affine(tableau, column)
+                for name, factor in terms.items():
+                    coefficients[name] = coefficients.get(name, Fraction(0)) + fraction * factor
+                rhs -= fraction * constant
+            coefficients = {name: value for name, value in coefficients.items() if value != 0}
+            if not coefficients:
+                # The terms cancel: ``0 >= rhs`` proves there is no integer point
+                # (a parity conflict) or holds trivially.
+                if rhs > 0:
+                    cuts.append(({}, 1))
+                continue
+            scale = 1
+            for number in (*coefficients.values(), rhs):
+                scale = lcm(scale, number.denominator)
+            integral = {name: int(value * scale) for name, value in coefficients.items()}
+            divisor = reduce(gcd, integral.values(), 0)
+            cuts.append(
+                (
+                    {name: value // divisor for name, value in integral.items()},
+                    ceil(rhs * scale / divisor),
+                )
+            )
+        return cuts
+
+    def _integral(self) -> bool:
+        for low, high in self._bounds.values():
+            if low is None and high is None:
+                return False
+            if any(bound is not None and bound.denominator != 1 for bound in (low, high)):
+                return False
+        return all(
+            constraint.rhs.denominator == 1
+            and all(value.denominator == 1 for value in constraint.coefficients.values())
+            for constraint in self._constraints
+        )
+
+    def _column_as_affine(
+        self, tableau: "_Tableau", column: int
+    ) -> tuple[dict[str, Fraction], Fraction]:
+        """Column ``column`` of ``tableau`` as ``sum terms*var + constant`` (no free variables)."""
+        kind, payload = tableau.column_names[column]
+        if kind == "var+":  # x - lower
+            return {payload: Fraction(1)}, -self._bounds[payload][0]
+        if kind == "var-":  # upper - x
+            return {payload: Fraction(-1)}, self._bounds[payload][1]
+        origin, key = tableau.row_origin[payload]
+        if origin == "bound":  # slack of x - lower <= upper - lower
+            return {key: Fraction(-1)}, self._bounds[key][1]
+        constraint = self._constraints[key]
+        if constraint.sense == "<=":  # rhs - a.x
+            return {name: -value for name, value in constraint.coefficients.items()}, constraint.rhs
+        return dict(constraint.coefficients), -constraint.rhs  # a.x - rhs
 
 
 class _Tableau:

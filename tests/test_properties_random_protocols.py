@@ -148,3 +148,24 @@ class TestEncodingsAgree:
             )
         }
         assert len(set(verdicts.values())) == 1, verdicts
+
+    def test_exact_theory_decides_a_parity_conflict(self):
+        # A protocol hypothesis found: one pattern pair's system has no integer
+        # point while its LP relaxation is unbounded, which plain
+        # branch-and-bound never closes.
+        protocol = PopulationProtocol(
+            states=["q0", "q1", "q2", "q3"],
+            transitions=[
+                Transition.make(("q3", "q3"), ("q1", "q3"), name="t0"),
+                Transition.make(("q2", "q3"), ("q0", "q3"), name="t1"),
+                Transition.make(("q1", "q3"), ("q0", "q2"), name="t2"),
+                Transition.make(("q1", "q2"), ("q0", "q3"), name="t3"),
+                Transition.make(("q0", "q2"), ("q3", "q3"), name="t4"),
+            ],
+            input_alphabet=["q0", "q1", "q2", "q3"],
+            input_map={state: state for state in ["q0", "q1", "q2", "q3"]},
+            output_map={"q0": 0, "q1": 0, "q2": 1, "q3": 0},
+            name="random",
+        )
+        assert check_strong_consensus_impl(protocol, theory="exact", strategy="patterns").holds
+        assert check_strong_consensus_impl(protocol, theory="auto", strategy="patterns").holds

@@ -6,6 +6,7 @@ instances (hypothesis) and on hand-written corner cases.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -288,3 +289,89 @@ class TestBranchAndBound:
             for (coefficients, sense, bound) in constraints:
                 total = sum(coefficients[name] * ours.values[name] for name in coefficients)
                 assert total <= bound
+
+    def test_parity_conflict_on_unbounded_variables(self):
+        # The LP relaxation has points arbitrarily far out, none integral:
+        # branching alone never closes it, a Gomory cut does at once.
+        result = solve_integer_feasibility(
+            constraints=[({"x": 2, "y": -2}, "==", 1)],
+            bounds={"x": (0, None), "y": (0, None)},
+        )
+        assert result.status is ILPStatus.INFEASIBLE
+        assert result.nodes_explored <= 3
+
+    def test_parity_conflict_behind_inequalities(self):
+        # 2x - 2y is squeezed into [-1, 0] by two rows and pushed to -1 by
+        # two more; only half-integral LP points remain.
+        result = solve_integer_feasibility(
+            constraints=[
+                ({"x": 2, "y": -2}, ">=", -1),
+                ({"x": 2, "y": -2}, "<=", 0),
+                ({"x": -2, "y": 2, "z": 1}, ">=", 1),
+                ({"z": 1}, "<=", 0),
+            ],
+            bounds={"x": (0, None), "y": (0, None), "z": (0, None)},
+        )
+        assert result.status is ILPStatus.INFEASIBLE
+
+
+@st.composite
+def small_integer_programs(draw):
+    """A random program over at most three integer variables in a small box."""
+    names = [f"v{index}" for index in range(draw(st.integers(1, 3)))]
+    bounds = {name: (draw(st.integers(-2, 1)), draw(st.sampled_from([None, 4]))) for name in names}
+    constraints = [
+        (
+            {name: draw(st.integers(-4, 4)) for name in names},
+            draw(st.sampled_from(["<=", ">=", "=="])),
+            draw(st.integers(-5, 8)),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return constraints, bounds
+
+
+class TestGomoryCuts:
+    @given(small_integer_programs())
+    @settings(max_examples=150, deadline=None)
+    def test_cuts_separate_the_vertex_and_keep_every_integer_point(self, program):
+        constraints, bounds = program
+        lp = LinearProgram()
+        for name, (lower, upper) in bounds.items():
+            lp.add_variable(name, lower=lower, upper=upper)
+        for coefficients, sense, rhs in constraints:
+            lp.add_constraint(coefficients, sense, rhs)
+        solution = lp.solve()
+        cuts = lp.gomory_cuts(10)
+        if solution.status is not LPStatus.OPTIMAL:
+            assert cuts == []
+            return
+        if all(value.denominator == 1 for value in solution.values.values()):
+            assert cuts == []
+        for coefficients, rhs in cuts:
+            assert sum(value * solution.values[name] for name, value in coefficients.items()) < rhs
+        holds = {"<=": lambda a, b: a <= b, ">=": lambda a, b: a >= b, "==": lambda a, b: a == b}
+        ranges = [range(lower, 7 if upper is None else upper + 1) for lower, upper in bounds.values()]
+        for point in itertools.product(*ranges):
+            values = dict(zip(bounds, point))
+            if all(
+                holds[sense](sum(value * values[name] for name, value in coefficients.items()), rhs)
+                for coefficients, sense, rhs in constraints
+            ):
+                for coefficients, rhs in cuts:
+                    assert sum(value * values[name] for name, value in coefficients.items()) >= rhs
+
+    def test_no_cuts_with_a_free_variable(self):
+        lp = LinearProgram()
+        lp.add_variable("x", lower=None, upper=None)
+        lp.add_variable("y", lower=0)
+        lp.add_constraint({"x": 2, "y": 2}, "==", 1)
+        assert lp.solve().status is LPStatus.OPTIMAL
+        assert lp.gomory_cuts(10) == []
+
+    def test_no_cuts_with_fractional_data(self):
+        lp = LinearProgram()
+        lp.add_variable("x", lower=0)
+        lp.add_constraint({"x": Fraction(1, 2)}, "==", Fraction(1, 3))
+        assert lp.solve().status is LPStatus.OPTIMAL
+        assert lp.gomory_cuts(10) == []
