@@ -19,7 +19,7 @@ from repro.protocols.library import (
     remainder_protocol,
     threshold_protocol,
 )
-from repro.verification.layered_termination import check_layered_termination
+from repro.verification.layered_termination import check_layered_termination_impl
 
 from .conftest import run_once
 
@@ -27,33 +27,33 @@ from .conftest import run_once
 @pytest.mark.parametrize("strategy", ["hint", "smt"])
 def test_majority_partition_strategies(benchmark, strategy):
     protocol = majority_protocol()
-    result = run_once(benchmark, check_layered_termination, protocol, strategy=strategy)
+    result = run_once(benchmark, check_layered_termination_impl, protocol, strategy=strategy)
     assert result.holds
 
 
 @pytest.mark.parametrize("strategy", ["single", "scc", "smt"])
 def test_broadcast_partition_strategies(benchmark, strategy):
     protocol = broadcast_protocol()
-    result = run_once(benchmark, check_layered_termination, protocol, strategy=strategy)
+    result = run_once(benchmark, check_layered_termination_impl, protocol, strategy=strategy)
     assert result.holds
 
 
 @pytest.mark.parametrize("strategy", ["single", "smt"])
 def test_flock_partition_strategies(benchmark, strategy):
     protocol = flock_of_birds_protocol(4)
-    result = run_once(benchmark, check_layered_termination, protocol, strategy=strategy)
+    result = run_once(benchmark, check_layered_termination_impl, protocol, strategy=strategy)
     assert result.holds
 
 
 @pytest.mark.parametrize("strategy", ["hint", "smt"])
 def test_small_remainder_partition_strategies(benchmark, strategy):
     protocol = remainder_protocol([0, 1, 2], 3, 1)
-    result = run_once(benchmark, check_layered_termination, protocol, strategy=strategy)
+    result = run_once(benchmark, check_layered_termination_impl, protocol, strategy=strategy)
     assert result.holds
 
 
 @pytest.mark.parametrize("strategy", ["hint"])
 def test_small_threshold_partition_strategies(benchmark, strategy):
     protocol = threshold_protocol({"x": 1}, 1)
-    result = run_once(benchmark, check_layered_termination, protocol, strategy=strategy)
+    result = run_once(benchmark, check_layered_termination_impl, protocol, strategy=strategy)
     assert result.holds

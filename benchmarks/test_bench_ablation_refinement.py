@@ -23,7 +23,7 @@ from repro.protocols.library import (
     flock_of_birds_protocol,
     majority_protocol,
 )
-from repro.verification.strong_consensus import check_strong_consensus
+from repro.verification.strong_consensus import check_strong_consensus_impl
 
 from .conftest import run_once
 
@@ -33,7 +33,7 @@ FLOCK_PARAMETERS = [3, 4, 5, 6]
 @pytest.mark.parametrize("c", FLOCK_PARAMETERS)
 def test_flock_refinement_demand(benchmark, c):
     protocol = flock_of_birds_protocol(c)
-    result = run_once(benchmark, check_strong_consensus, protocol)
+    result = run_once(benchmark, check_strong_consensus_impl, protocol)
     assert result.holds
     # The paper observes linearly many trap/siphon refinements for this family.
     assert len(result.refinements) >= c - 2
@@ -42,19 +42,19 @@ def test_flock_refinement_demand(benchmark, c):
 @pytest.mark.parametrize("strategy", ["patterns", "monolithic"])
 def test_majority_strategy_comparison(benchmark, strategy):
     protocol = majority_protocol()
-    result = run_once(benchmark, check_strong_consensus, protocol, strategy=strategy)
+    result = run_once(benchmark, check_strong_consensus_impl, protocol, strategy=strategy)
     assert result.holds
 
 
 @pytest.mark.parametrize("strategy", ["patterns", "monolithic"])
 def test_broadcast_strategy_comparison(benchmark, strategy):
     protocol = broadcast_protocol()
-    result = run_once(benchmark, check_strong_consensus, protocol, strategy=strategy)
+    result = run_once(benchmark, check_strong_consensus_impl, protocol, strategy=strategy)
     assert result.holds
 
 
 @pytest.mark.parametrize("strategy", ["patterns", "monolithic"])
 def test_small_flock_strategy_comparison(benchmark, strategy):
     protocol = flock_of_birds_protocol(3)
-    result = run_once(benchmark, check_strong_consensus, protocol, strategy=strategy)
+    result = run_once(benchmark, check_strong_consensus_impl, protocol, strategy=strategy)
     assert result.holds

@@ -18,7 +18,7 @@ import pytest
 
 from repro.protocols.library import flock_of_birds_protocol, majority_protocol
 from repro.verification.explicit import verify_single_input
-from repro.verification.ws3 import verify_ws3
+from repro.verification.ws3 import verify_ws3_impl
 
 from .conftest import run_once
 
@@ -27,7 +27,7 @@ FLOCK_POPULATIONS = [7, 9, 11]
 
 
 def test_majority_all_inputs_via_ws3(benchmark):
-    result = run_once(benchmark, verify_ws3, majority_protocol())
+    result = run_once(benchmark, verify_ws3_impl, majority_protocol())
     assert result.is_ws3
 
 
@@ -42,7 +42,7 @@ def test_majority_single_input_via_explicit_search(benchmark, size):
 
 
 def test_flock_all_inputs_via_ws3(benchmark):
-    result = run_once(benchmark, verify_ws3, flock_of_birds_protocol(6))
+    result = run_once(benchmark, verify_ws3_impl, flock_of_birds_protocol(6))
     assert result.is_ws3
 
 

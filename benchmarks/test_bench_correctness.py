@@ -19,7 +19,7 @@ from repro.protocols.library import (
     majority_protocol,
     remainder_protocol,
 )
-from repro.verification.correctness import check_correctness
+from repro.verification.correctness import check_correctness_impl
 
 from .conftest import run_once
 
@@ -44,5 +44,5 @@ CASE_PARAMS = [
 def test_correctness_of_documented_predicate(benchmark, name):
     protocol = CASES[name]()
     predicate = protocol.metadata["predicate"]
-    result = run_once(benchmark, check_correctness, protocol, predicate)
+    result = run_once(benchmark, check_correctness_impl, protocol, predicate)
     assert result.holds

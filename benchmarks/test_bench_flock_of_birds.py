@@ -16,7 +16,7 @@ from repro.protocols.library import (
     flock_of_birds_protocol,
     flock_of_birds_threshold_n_protocol,
 )
-from repro.verification.ws3 import verify_ws3
+from repro.verification.ws3 import verify_ws3_impl
 
 from .conftest import requires_large, run_once
 
@@ -33,7 +33,7 @@ def test_flock_of_birds_ws3(benchmark, c):
     protocol = flock_of_birds_protocol(c)
     assert protocol.num_states == c + 1
     assert protocol.num_transitions == c * (c + 1) // 2
-    result = run_once(benchmark, verify_ws3, protocol)
+    result = run_once(benchmark, verify_ws3_impl, protocol)
     assert result.is_ws3
 
 
@@ -42,7 +42,7 @@ def test_flock_of_birds_ws3(benchmark, c):
 def test_flock_of_birds_ws3_paper_sizes(benchmark, c):
     protocol = flock_of_birds_protocol(c)
     assert protocol.num_transitions == c * (c + 1) // 2
-    result = run_once(benchmark, verify_ws3, protocol)
+    result = run_once(benchmark, verify_ws3_impl, protocol)
     assert result.is_ws3
 
 
@@ -51,7 +51,7 @@ def test_flock_of_birds_threshold_n_ws3(benchmark, c):
     protocol = flock_of_birds_threshold_n_protocol(c)
     assert protocol.num_states == c + 1
     assert protocol.num_transitions == 2 * c - 1
-    result = run_once(benchmark, verify_ws3, protocol)
+    result = run_once(benchmark, verify_ws3_impl, protocol)
     assert result.is_ws3
 
 
@@ -60,5 +60,5 @@ def test_flock_of_birds_threshold_n_ws3(benchmark, c):
 def test_flock_of_birds_threshold_n_ws3_paper_sizes(benchmark, c):
     protocol = flock_of_birds_threshold_n_protocol(c)
     assert protocol.num_transitions == 2 * c - 1
-    result = run_once(benchmark, verify_ws3, protocol)
+    result = run_once(benchmark, verify_ws3_impl, protocol)
     assert result.is_ws3

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.protocols.library import remainder_protocol
-from repro.verification.ws3 import verify_ws3
+from repro.verification.ws3 import verify_ws3_impl
 
 from .conftest import requires_large, run_once
 
@@ -27,7 +27,7 @@ def test_remainder_ws3(benchmark, m):
     protocol = _table_protocol(m)
     assert protocol.num_states == m + 2
     assert protocol.num_transitions == m * (m + 1) // 2 + m
-    result = run_once(benchmark, verify_ws3, protocol)
+    result = run_once(benchmark, verify_ws3_impl, protocol)
     assert result.is_ws3
 
 
@@ -36,5 +36,5 @@ def test_remainder_ws3(benchmark, m):
 def test_remainder_ws3_paper_sizes(benchmark, m):
     protocol = _table_protocol(m)
     assert protocol.num_transitions == m * (m + 1) // 2 + m
-    result = run_once(benchmark, verify_ws3, protocol)
+    result = run_once(benchmark, verify_ws3_impl, protocol)
     assert result.is_ws3

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.protocols.library import threshold_table_protocol
-from repro.verification.ws3 import verify_ws3
+from repro.verification.ws3 import verify_ws3_impl
 
 from .conftest import requires_large, run_once
 
@@ -28,7 +28,7 @@ def test_threshold_ws3(benchmark, vmax):
     assert protocol.num_states == 4 * (2 * vmax + 1)
     if vmax in EXPECTED_TRANSITIONS:
         assert protocol.num_transitions == EXPECTED_TRANSITIONS[vmax]
-    result = run_once(benchmark, verify_ws3, protocol)
+    result = run_once(benchmark, verify_ws3_impl, protocol)
     assert result.is_ws3
 
 
@@ -37,5 +37,5 @@ def test_threshold_ws3(benchmark, vmax):
 def test_threshold_ws3_paper_sizes(benchmark, vmax):
     protocol = threshold_table_protocol(vmax)
     assert protocol.num_transitions == EXPECTED_TRANSITIONS[vmax]
-    result = run_once(benchmark, verify_ws3, protocol)
+    result = run_once(benchmark, verify_ws3_impl, protocol)
     assert result.is_ws3

@@ -21,12 +21,12 @@ Run with::
 
 from __future__ import annotations
 
+from repro.api import Verifier
 from repro.presburger.compiler import compile_predicate
 from repro.presburger.predicates import RemainderPredicate, ThresholdPredicate
 from repro.protocols.simulation import Simulator
 from repro.verification.explicit import check_predicate_on_inputs, verify_single_input
 from repro.verification.layered_termination import check_partition
-from repro.verification.ws3 import verify_ws3
 
 
 def main() -> None:
@@ -47,9 +47,10 @@ def main() -> None:
     )
 
     # WS3 membership of the leaves (the product construction preserves it).
-    for leaf in (majority_leaf, parity_leaf):
-        result = verify_ws3(leaf)
-        print(f"  {leaf.name}: WS3 = {result.is_ws3} in {result.statistics['time']:.2f}s")
+    with Verifier() as verifier:
+        for leaf in (majority_leaf, parity_leaf):
+            report = verifier.check(leaf, properties=["ws3"])
+            print(f"  {leaf.name}: WS3 = {report.is_ws3} in {report.statistics['time']:.2f}s")
     lifted = check_partition(protocol, protocol.partition_hint)
     print(f"  product inherits a valid LayeredTermination certificate: {lifted.holds}")
 

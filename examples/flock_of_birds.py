@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import time
 
+from repro.api import Verifier
 from repro.protocols.library import (
     flock_of_birds_protocol,
     flock_of_birds_threshold_n_protocol,
 )
 from repro.protocols.simulation import Simulator
 from repro.verification.explicit import verify_single_input
-from repro.verification.ws3 import verify_ws3
 
 
 def main() -> None:
@@ -37,13 +37,14 @@ def main() -> None:
     tower_protocol = flock_of_birds_threshold_n_protocol(threshold)
 
     print(f"--- WS3 verification (all of the infinitely many inputs), c = {threshold}")
-    for candidate in (protocol, tower_protocol):
-        result = verify_ws3(candidate)
-        print(
-            f"{candidate.name}: |Q|={candidate.num_states}, |T|={candidate.num_transitions}, "
-            f"WS3={result.is_ws3}, time={result.statistics['time']:.2f}s, "
-            f"trap/siphon refinements={result.statistics['refinements']}"
-        )
+    with Verifier() as verifier:
+        for candidate in (protocol, tower_protocol):
+            result = verifier.check(candidate, properties=["ws3"]).result_for("ws3")
+            print(
+                f"{candidate.name}: |Q|={candidate.num_states}, |T|={candidate.num_transitions}, "
+                f"WS3={result.holds}, time={result.statistics['time']:.2f}s, "
+                f"trap/siphon refinements={result.statistics['refinements']}"
+            )
 
     print()
     print("--- the old way: explicit model checking of single inputs")

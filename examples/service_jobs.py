@@ -4,9 +4,10 @@ Run with::
 
     PYTHONPATH=src python examples/service_jobs.py
 
-Demonstrates the asynchronous surface behind ``Verifier.check``: jobs are
-submitted without blocking, scheduled priority-first over one shared worker
-pool, observed through the typed progress-event stream, and cancelled
+Demonstrates the asynchronous surface built on top of ``Verifier``: jobs
+are submitted without blocking, scheduled priority-first onto dispatcher
+threads that run the service's one verifier (one shared engine and cache),
+observed through the typed progress-event stream, and cancelled
 cooperatively.
 """
 

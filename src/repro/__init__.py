@@ -54,10 +54,6 @@ def __getattr__(name):
         import repro.api as api
 
         return getattr(api, name)
-    if name == "verify_ws3":
-        from repro.verification.ws3 import verify_ws3
-
-        return verify_ws3
     if name == "WS3Result":
         from repro.verification.ws3 import WS3Result
 

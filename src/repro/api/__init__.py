@@ -1,8 +1,6 @@
 """Unified verification API: one session object, pluggable properties.
 
-The :class:`Verifier` replaces the historical per-property entry points
-(``verify_ws3``, ``check_strong_consensus``, ``check_correctness``,
-``check_layered_termination``, ``verify_many``)::
+The :class:`Verifier` is the one entry point for every property::
 
     from repro.api import Verifier
 

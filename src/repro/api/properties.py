@@ -7,11 +7,9 @@ names through the registry, so new properties (new paper sections, new
 backends) plug in with :func:`register_property` instead of growing another
 top-level entry point.
 
-The built-in checkers wrap the battle-tested decision procedures of
-:mod:`repro.verification` (the same implementations the deprecated
-``verify_ws3``/``check_*`` shims call, so old and new API verdicts are
-identical by construction) and convert their results into the unified
-:class:`~repro.api.report.PropertyResult` form.
+The built-in checkers wrap the decision procedures of
+:mod:`repro.verification` (the ``*_impl`` functions) and convert their
+results into the unified :class:`~repro.api.report.PropertyResult` form.
 """
 
 from __future__ import annotations

@@ -17,14 +17,13 @@ in the calling process; parallelism is across protocols.  A batch sends one
 * :mod:`repro.engine.cache` — the content-addressed protocol hash and the
   on-disk result cache keyed by it;
 * :mod:`repro.engine.monitor` — thread-local job instrumentation: progress
-  events and cooperative cancellation for the verification service (wave
+  events and cooperative cancellation for every verification job (wave
   boundaries are the engine's cancellation checkpoints, and envelopes carry
   the job id of the thread that built them);
 * :mod:`repro.engine.batch` — ``run_batch``: fan a set of protocols over
   the pool, with verified instances served from the result cache as
   lossless :class:`~repro.api.report.VerificationReport` payloads (the
-  back end of :meth:`repro.api.Verifier.check_many`; the deprecated
-  ``verify_many`` shim lives here too).
+  back end of :meth:`repro.api.Verifier.check_many`).
 """
 
 from repro.engine.cache import ResultCache, canonical_protocol_dict, protocol_content_hash
@@ -32,7 +31,7 @@ from repro.engine.monitor import JobCancelledError, JobDeadlineExceeded
 from repro.engine.retry import DEFAULT_RETRY, NO_RETRY, RetryPolicy
 from repro.engine.scheduler import ENGINE_VERSION, EngineError, VerificationEngine
 from repro.engine.subproblem import Subproblem, SubproblemResult
-from repro.engine.batch import BatchItem, BatchResult, batch_cache_options, run_batch, verify_many
+from repro.engine.batch import BatchItem, BatchResult, batch_cache_options, run_batch
 
 __all__ = [
     "BatchItem",
@@ -52,5 +51,4 @@ __all__ = [
     "canonical_protocol_dict",
     "protocol_content_hash",
     "run_batch",
-    "verify_many",
 ]

@@ -14,14 +14,12 @@ Every item carries a full, lossless
 counterexamples and refinement trails included — whether it comes from a
 worker, from the in-process serial path, or from the cache (which stores
 exactly ``report.to_dict()``).
-
-The legacy :func:`verify_many` entry point remains as a deprecated shim.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.api.options import VerificationOptions
@@ -304,45 +302,3 @@ def _run_parallel(
             report=VerificationReport.from_dict(result.data["report"]),
             time_seconds=result.statistics.get("time", 0.0),
         )
-
-
-def verify_many(
-    protocols: Iterable[PopulationProtocol],
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    cache_dir=None,
-    strategy: str = "auto",
-    theory: str = "auto",
-    max_layers: int | None = None,
-    engine: VerificationEngine | None = None,
-) -> BatchResult:
-    """Deprecated: use :meth:`repro.api.Verifier.check_many` instead.
-
-    ``Verifier(jobs=..., cache_dir=...).check_many(protocols)`` returns the
-    same :class:`BatchResult`; this shim delegates to the same machinery, so
-    verdicts are identical.  Note that items now carry full
-    :class:`~repro.api.report.VerificationReport` objects (``item.report``)
-    instead of the old lossy summary dictionaries.
-    """
-    import warnings
-
-    warnings.warn(
-        "verify_many() is deprecated; use repro.api.Verifier"
-        " (Verifier(jobs=..., cache_dir=...).check_many(protocols))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api.verifier import Verifier
-
-    if engine is not None and jobs != 1:
-        raise ValueError("pass either jobs>1 or an engine, not both")
-    options = VerificationOptions(
-        strategy=strategy,
-        theory=theory,
-        max_layers=max_layers,
-        jobs=jobs if engine is None else 1,
-    )
-    if cache is None and cache_dir is not None:
-        cache = ResultCache(cache_dir)
-    with Verifier(options, engine=engine, cache=cache) as verifier:
-        return verifier.check_many(protocols)

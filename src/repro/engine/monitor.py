@@ -1,14 +1,15 @@
 """Thread-local job instrumentation: progress events and cooperative cancellation.
 
-The verification service runs each job on a dispatcher thread and *binds* the
-thread to the job with :func:`bound_to_job`.  Everything that executes under
-the binding — the engine scheduler, the serial refinement loops of the
-verification layer — can then
+:meth:`Verifier.run_job <repro.api.verifier.Verifier.run_job>` *binds* the
+thread that runs a job to it with :func:`bound_to_job`: the caller's own
+thread for ``Verifier.check``/``check_many``, a dispatcher thread for a
+service job.  Everything that executes under the binding — the engine
+scheduler, the serial refinement loops of the verification layer — can then
 
 * **emit progress events** without threading a callback through every
   signature (:func:`emit`); events are constructed lazily, so code running
-  outside any job (the deprecated shims, plain library use) pays one
-  thread-local lookup and nothing else;
+  outside any job (the ``*_impl`` procedures called directly, plain library
+  use) pays one thread-local lookup and nothing else;
 * **observe cancellation requests** (:func:`check_cancelled`), raising
   :class:`JobCancelledError` at the cooperative checkpoints: engine wave
   boundaries, per-subproblem steps of the inline path, pattern/strategy
@@ -39,8 +40,8 @@ class JobDeadlineExceeded(JobCancelledError):
     """Raised at a cooperative checkpoint once the job's wall-clock budget is spent.
 
     A subclass of :class:`JobCancelledError` so every existing cancellation
-    checkpoint doubles as a deadline checkpoint; the service catches it
-    *before* the generic handler and converts the remaining properties to
+    checkpoint doubles as a deadline checkpoint; the check pipeline catches
+    it *before* the generic handler and converts the remaining properties to
     ``partial`` verdicts instead of cancelling the job.
     """
 
@@ -55,9 +56,9 @@ class JobBinding:
     """What a bound thread knows about its job.
 
     ``record`` receives fully constructed
-    :class:`~repro.service.events.ProgressEvent` objects (the service stamps
-    sequence numbers and timestamps); ``should_cancel`` is polled at the
-    cooperative checkpoints.
+    :class:`~repro.service.events.ProgressEvent` objects (the job record
+    stamps sequence numbers and timestamps); ``should_cancel`` is polled at
+    the cooperative checkpoints.
     """
 
     __slots__ = ("job_id", "record", "should_cancel", "deadline", "budget", "_backends_seen", "_waves")
@@ -109,8 +110,8 @@ def emit(build_event: Callable[[str], object]) -> None:
     """Emit a progress event if (and only if) the thread is bound to a job.
 
     ``build_event(job_id)`` constructs the event lazily, so unbound callers —
-    the deprecated shims, engine use outside the service — never pay for
-    event construction.
+    the ``*_impl`` procedures called directly, engine use outside a job —
+    never pay for event construction.
     """
     binding = current_binding()
     if binding is not None:

@@ -2,9 +2,9 @@
 
 ``solve_subproblem`` is the single function shipped to the process pool.
 It dispatches on the subproblem ``kind``; the ``check-protocol`` handler
-runs a whole serial :class:`~repro.api.verifier.Verifier` check, imported
-lazily (the API layer imports the engine, not the other way round at
-module load time).
+runs a whole serial :class:`~repro.api.verifier.Verifier` check on the
+worker's own thread, imported lazily (the API layer imports the engine,
+not the other way round at module load time).
 
 Decoded protocols are cached per process keyed by their content hash, so a
 worker that sees the same protocol again (a long-lived service pool) pays
@@ -91,10 +91,10 @@ def _solve_check_protocol(subproblem: Subproblem) -> SubproblemResult:
 
     The result payload is the lossless report dictionary — exactly what the
     coordinator's serial path would produce and what the result cache
-    stores — so across-protocol fan-out loses no artifacts.  A traced run's
-    span tree is moved out of the report and adopted under this worker's
-    ``subproblem`` span, so it rides home in the result envelope and joins
-    the coordinator's tree.
+    stores — so across-protocol fan-out loses no artifacts.  The check runs
+    on this thread, so in a traced envelope its ``job`` span nests directly
+    under this worker's ``subproblem`` span and rides home in the result
+    envelope.
     """
     from repro.api.options import VerificationOptions
     from repro.api.verifier import Verifier
@@ -109,7 +109,6 @@ def _solve_check_protocol(subproblem: Subproblem) -> SubproblemResult:
             properties=params.get("properties", ("ws3",)),
             predicate=params.get("predicate"),
         )
-    trace.adopt_spans(report.statistics.pop("trace", None))
     return SubproblemResult(
         kind=subproblem.kind,
         index=subproblem.index,

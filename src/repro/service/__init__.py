@@ -19,8 +19,9 @@ variants), delivered through subscriber callbacks and the blocking
 serve`` exposes the same API to external processes as a stdin/stdout
 JSON-lines daemon.
 
-``repro.api.Verifier.check``/``check_many`` are thin synchronous facades
-over this service, so verdicts are identical between the two surfaces.
+The service wraps one :class:`repro.api.Verifier` and runs every job
+through the same pipeline ``Verifier.check``/``check_many`` run on the
+caller's thread, so verdicts are identical between the two surfaces.
 
 This ``__init__`` resolves its exports lazily (PEP 562): the engine layer
 imports :mod:`repro.service.events` at module load, and a eager package
@@ -33,7 +34,7 @@ _EXPORTS = {
     "VerificationService": "repro.service.service",
     "JobJournal": "repro.service.journal",
     "JobHandle": "repro.service.jobs",
-    "JobStatus": "repro.service.jobs",
+    "JobStatus": "repro.api.jobs",
     "JobFailedError": "repro.service.jobs",
     "JobNotFinished": "repro.service.jobs",
     "JobCancelledError": "repro.engine.monitor",

@@ -6,46 +6,30 @@ The supported entry point is the unified session API of :mod:`repro.api`::
 
     report = Verifier().check(protocol, properties=["ws3", "correctness"])
 
-The historical per-property functions (``verify_ws3``,
-``check_layered_termination``, ``check_strong_consensus``,
-``check_correctness``) remain importable from here but emit
-``DeprecationWarning``; they delegate to the same implementations
-(``*_impl``) the API's property checkers use, so verdicts are identical.
+The decision procedures behind the API's property checkers are exported
+here as ``*_impl`` functions returning the typed result dataclasses.
 :mod:`repro.verification.explicit` — the explicit-state single-input
 baseline of earlier work — is also exposed through the ``"explicit"``
 property of the new API.
 """
 
-from repro.verification.correctness import (
-    CorrectnessResult,
-    check_correctness,
-    check_correctness_impl,
-)
+from repro.verification.correctness import CorrectnessResult, check_correctness_impl
 from repro.verification.layered_termination import (
     LayeredTerminationResult,
-    check_layered_termination,
     check_layered_termination_impl,
     check_partition,
 )
-from repro.verification.strong_consensus import (
-    StrongConsensusResult,
-    check_strong_consensus,
-    check_strong_consensus_impl,
-)
-from repro.verification.ws3 import WS3Result, verify_ws3, verify_ws3_impl
+from repro.verification.strong_consensus import StrongConsensusResult, check_strong_consensus_impl
+from repro.verification.ws3 import WS3Result, verify_ws3_impl
 
 __all__ = [
-    "verify_ws3",
     "verify_ws3_impl",
     "WS3Result",
-    "check_layered_termination",
     "check_layered_termination_impl",
     "check_partition",
     "LayeredTerminationResult",
-    "check_strong_consensus",
     "check_strong_consensus_impl",
     "StrongConsensusResult",
-    "check_correctness",
     "check_correctness_impl",
     "CorrectnessResult",
 ]

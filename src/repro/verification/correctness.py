@@ -245,33 +245,3 @@ def _solve_pattern(
     raise RuntimeError(
         f"correctness refinement did not converge within {max_refinements} iterations"
     )
-
-
-def check_correctness(
-    protocol: PopulationProtocol,
-    predicate: PredicateLike,
-    theory: str = "auto",
-    max_refinements: int = 10_000,
-    backend: str | None = None,
-) -> CorrectnessResult:
-    """Deprecated: use :class:`repro.api.Verifier` instead.
-
-    ``Verifier().check(protocol, properties=["correctness"], predicate=...)``
-    returns the same verdict and counterexample in report form; this shim
-    delegates to the same implementation, so verdicts are identical.
-    """
-    import warnings
-
-    warnings.warn(
-        "check_correctness() is deprecated; use repro.api.Verifier"
-        " (Verifier().check(protocol, properties=['correctness'], predicate=...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return check_correctness_impl(
-        protocol,
-        predicate,
-        theory=theory,
-        max_refinements=max_refinements,
-        backend=backend,
-    )

@@ -17,7 +17,7 @@ one is the NP part of the membership problem.  This module provides:
 * three partition-search strategies (protocol-supplied hints, a single-layer
   check, an "enabling graph" SCC heuristic, and the exact constraint
   encoding of Appendix D.1 solved with :mod:`repro.smtlite`);
-* :func:`check_layered_termination` — the top-level decision procedure.
+* :func:`check_layered_termination_impl` — the top-level decision procedure.
 """
 
 from __future__ import annotations
@@ -61,6 +61,16 @@ class LayeredTerminationResult:
 # ----------------------------------------------------------------------
 
 
+def _non_silent(transitions: Iterable[Transition]) -> list[Transition]:
+    """The non-silent transitions, sorted by content (``repr``).
+
+    Layers are frozensets, whose iteration order depends on the hash seed;
+    sorting fixes the order of the LP rows and columns built from them, and
+    with it the solver's optimal vertex and the first failing witness.
+    """
+    return sorted((t for t in transitions if not t.is_silent), key=repr)
+
+
 def layer_is_silent(protocol: PopulationProtocol, layer: Iterable[Transition]) -> bool:
     """Exact check of condition (a) of Definition 4 for one layer.
 
@@ -69,7 +79,7 @@ def layer_is_silent(protocol: PopulationProtocol, layer: Iterable[Transition]) -
     the layer with zero net effect.  We decide this with the exact simplex:
     feasibility of ``{x >= 0, sum_t x_t * delta_t = 0, sum_t x_t = 1}``.
     """
-    transitions = [t for t in layer if not t.is_silent]
+    transitions = _non_silent(layer)
     if not transitions:
         return True
     program = LinearProgram()
@@ -103,7 +113,7 @@ def find_ranking_function(
     that fails the exact simplex is used directly.  Returns ``None`` when no
     ranking function exists (equivalently, the layer is not silent).
     """
-    transitions = [t for t in layer if not t.is_silent]
+    transitions = _non_silent(layer)
     if not transitions:
         return {}
     states = sorted({state for t in transitions for state in t.states()}, key=repr)
@@ -196,8 +206,8 @@ def layer_is_dead_for(
     ``earlier`` enabled at ``pre(s) + (pre(u) ∸ post(s))``.  Returns
     ``(True, None)`` or ``(False, (s, u))`` with a witnessing pair.
     """
-    layer = [t for t in layer if not t.is_silent]
-    earlier = [t for t in earlier if not t.is_silent]
+    layer = _non_silent(layer)
+    earlier = _non_silent(earlier)
     if not earlier or not layer:
         return True, None
     earlier_pres = {u.pre for u in earlier}
@@ -492,7 +502,7 @@ def check_layered_termination_impl(
     backend: str | None = None,
     context: AnalysisContext | None = None,
 ) -> LayeredTerminationResult:
-    """Decide LayeredTermination (implementation; see the deprecated shim below).
+    """Decide LayeredTermination (the ``"layered_termination"`` property).
 
     ``strategy`` is one of:
 
@@ -560,36 +570,4 @@ def check_layered_termination_impl(
     return finish(
         LayeredTerminationResult(holds=False, reason=f"strategy {strategy!r} found no valid partition"),
         strategy,
-    )
-
-
-def check_layered_termination(
-    protocol: PopulationProtocol,
-    strategy: str = "auto",
-    max_layers: int | None = None,
-    materialize_rankings: bool = False,
-    theory: str = "auto",
-    backend: str | None = None,
-) -> LayeredTerminationResult:
-    """Deprecated: use :class:`repro.api.Verifier` instead.
-
-    ``Verifier().check(protocol, properties=["layered_termination"])``
-    returns the same verdict and certificate in report form; this shim
-    delegates to the same implementation, so verdicts are identical.
-    """
-    import warnings
-
-    warnings.warn(
-        "check_layered_termination() is deprecated; use repro.api.Verifier"
-        " (Verifier().check(protocol, properties=['layered_termination']))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return check_layered_termination_impl(
-        protocol,
-        strategy=strategy,
-        max_layers=max_layers,
-        materialize_rankings=materialize_rankings,
-        theory=theory,
-        backend=backend,
     )

@@ -175,38 +175,6 @@ def check_strong_consensus_impl(
     return result
 
 
-def check_strong_consensus(
-    protocol: PopulationProtocol,
-    theory: str = "auto",
-    strategy: str = "auto",
-    max_refinements: int = 10_000,
-    max_pattern_pairs: int = 250_000,
-    backend: str | None = None,
-) -> StrongConsensusResult:
-    """Deprecated: use :class:`repro.api.Verifier` instead.
-
-    ``Verifier().check(protocol, properties=["strong_consensus"])`` returns
-    the same verdict and counterexample in report form; this shim delegates
-    to the same implementation, so verdicts are identical.
-    """
-    import warnings
-
-    warnings.warn(
-        "check_strong_consensus() is deprecated; use repro.api.Verifier"
-        " (Verifier().check(protocol, properties=['strong_consensus']))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return check_strong_consensus_impl(
-        protocol,
-        theory=theory,
-        strategy=strategy,
-        max_refinements=max_refinements,
-        max_pattern_pairs=max_pattern_pairs,
-        backend=backend,
-    )
-
-
 # ----------------------------------------------------------------------
 # Strategy 1: terminal-support-pattern enumeration
 # ----------------------------------------------------------------------

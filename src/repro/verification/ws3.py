@@ -9,7 +9,6 @@ restricting verification to this class.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 from repro.constraints.context import AnalysisContext
@@ -82,9 +81,8 @@ def verify_ws3_impl(
 ) -> WS3Result:
     """Decide membership of a protocol in WS³ (implementation).
 
-    This is the non-deprecated decision procedure shared by the
-    :class:`repro.api.verifier.Verifier` property checkers and the legacy
-    :func:`verify_ws3` shim.  Both properties run sequentially in the
+    This is the decision procedure behind the ``"ws3"`` property of
+    :class:`repro.api.verifier.Verifier`.  Both properties run sequentially in the
     calling process, each as one refinement loop over a persistent solver;
     parallelism lives one level up, where a batch verifies one protocol per
     worker process (:meth:`repro.api.Verifier.check_many`).
@@ -93,7 +91,7 @@ def verify_ws3_impl(
     ----------
     strategy:
         Partition-search strategy for LayeredTermination (see
-        :func:`repro.verification.layered_termination.check_layered_termination`).
+        :func:`repro.verification.layered_termination.check_layered_termination_impl`).
     theory:
         Constraint-solver backend: ``"auto"``, ``"scipy"`` or ``"exact"``.
     check_consensus_first:
@@ -152,37 +150,4 @@ def verify_ws3_impl(
         layered_termination=layered,
         strong_consensus=strong_consensus,
         statistics=statistics,
-    )
-
-
-def verify_ws3(
-    protocol: PopulationProtocol,
-    strategy: str = "auto",
-    theory: str = "auto",
-    max_layers: int | None = None,
-    check_consensus_first: bool = False,
-    materialize_rankings: bool = False,
-    backend: str | None = None,
-) -> WS3Result:
-    """Deprecated: use :class:`repro.api.Verifier` instead.
-
-    ``Verifier().check(protocol, properties=["ws3"])`` returns a
-    :class:`~repro.api.report.VerificationReport` with the same verdict,
-    certificate and counterexample.  This shim delegates to the same
-    implementation, so verdicts are identical.
-    """
-    warnings.warn(
-        "verify_ws3() is deprecated; use repro.api.Verifier"
-        " (Verifier().check(protocol, properties=['ws3']))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return verify_ws3_impl(
-        protocol,
-        strategy=strategy,
-        theory=theory,
-        max_layers=max_layers,
-        check_consensus_first=check_consensus_first,
-        materialize_rankings=materialize_rankings,
-        backend=backend,
     )

@@ -1,9 +1,9 @@
-"""Old-vs-new API parity: the deprecated shims and the Verifier agree exactly.
+"""Procedure-vs-report parity: the ``*_impl`` procedures and the Verifier agree.
 
-For every protocol family below, the legacy entry points (``verify_ws3``,
-``check_*``) and ``Verifier().check(...)`` must produce identical verdicts,
-identical counterexamples and matching certificates — the acceptance bar for
-keeping the shims around during the migration.
+For every protocol family below, the decision procedures called directly
+(``verify_ws3_impl``, ``check_*_impl``) and ``Verifier().check(...)`` must
+produce identical verdicts, identical counterexamples and matching
+certificates: the report conversion loses nothing the typed results carry.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from repro.protocols.library import (
     oscillating_majority_protocol,
     remainder_protocol,
 )
-from repro.verification.correctness import check_correctness
-from repro.verification.layered_termination import check_layered_termination
-from repro.verification.strong_consensus import check_strong_consensus
-from repro.verification.ws3 import verify_ws3
+from repro.verification.correctness import check_correctness_impl
+from repro.verification.layered_termination import check_layered_termination_impl
+from repro.verification.strong_consensus import check_strong_consensus_impl
+from repro.verification.ws3 import verify_ws3_impl
 
 FAMILIES = [
     ("majority", majority_protocol),
@@ -37,7 +37,7 @@ FAMILIES = [
 
 @pytest.mark.parametrize("name,factory", FAMILIES, ids=[name for name, _ in FAMILIES])
 def test_ws3_verdicts_and_counterexamples_match(name, factory):
-    old = verify_ws3(factory())
+    old = verify_ws3_impl(factory())
     report = Verifier().check(factory(), properties=["ws3"])
 
     assert report.is_ws3 == old.is_ws3
@@ -53,7 +53,7 @@ def test_ws3_verdicts_and_counterexamples_match(name, factory):
 
 
 def test_ws3_parity_when_layered_termination_fails():
-    old = verify_ws3(oscillating_majority_protocol())
+    old = verify_ws3_impl(oscillating_majority_protocol())
     report = Verifier().check(oscillating_majority_protocol())
     assert not old.is_ws3 and not report.is_ws3
     assert old.strong_consensus is None
@@ -62,7 +62,7 @@ def test_ws3_parity_when_layered_termination_fails():
 
 
 def test_layered_termination_certificate_parity():
-    old = check_layered_termination(majority_protocol(), materialize_rankings=True)
+    old = check_layered_termination_impl(majority_protocol(), materialize_rankings=True)
     report = Verifier(materialize_rankings=True).check(
         majority_protocol(), properties=["layered_termination"]
     )
@@ -76,7 +76,7 @@ def test_layered_termination_certificate_parity():
 
 
 def test_strong_consensus_counterexample_parity():
-    old = check_strong_consensus(coin_flip_protocol())
+    old = check_strong_consensus_impl(coin_flip_protocol())
     report = Verifier().check(coin_flip_protocol(), properties=["strong_consensus"])
     new = report.result_for("strong_consensus")
     assert not old.holds and not new.holds
@@ -85,7 +85,7 @@ def test_strong_consensus_counterexample_parity():
 
 def test_correctness_counterexample_parity():
     wrong_predicate = majority_protocol().metadata["predicate"]
-    old = check_correctness(exclusive_majority_protocol(), wrong_predicate)
+    old = check_correctness_impl(exclusive_majority_protocol(), wrong_predicate)
     report = Verifier().check(
         exclusive_majority_protocol(), properties=["correctness"], predicate=wrong_predicate
     )
@@ -97,7 +97,7 @@ def test_correctness_counterexample_parity():
 
 def test_correctness_documented_predicate_parity():
     protocol = broadcast_protocol()
-    old = check_correctness(protocol, protocol.metadata["predicate"])
+    old = check_correctness_impl(protocol, protocol.metadata["predicate"])
     # The Verifier defaults to the documented predicate from the metadata.
     report = Verifier().check(broadcast_protocol(), properties=["correctness"])
     assert report.holds("correctness") == old.holds

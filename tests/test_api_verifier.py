@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+import threading
+
 import pytest
 
 from repro.api import (
@@ -202,44 +209,93 @@ class TestVerifierSessions:
         assert [item.ok for item in batch] == [True, True]
 
 
-class TestDeprecatedShims:
-    """The five historical entry points warn but keep working."""
+class TestInlineCheck:
+    """``Verifier.check`` runs on the calling thread, below the service layer."""
 
-    def test_verify_ws3_warns(self):
-        from repro.verification.ws3 import verify_ws3
+    def test_check_starts_no_thread_and_loads_no_service(self):
+        script = (
+            "import sys, threading\n"
+            "from repro.api import Verifier\n"
+            "from repro.protocols.library import broadcast_protocol\n"
+            "before = threading.active_count()\n"
+            "verifier = Verifier()\n"
+            "assert verifier.check(broadcast_protocol()).ok\n"
+            "print(threading.active_count() - before, 'repro.service.service' in sys.modules)\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == ["0", "False"]
 
-        with pytest.warns(DeprecationWarning, match="use repro.api.Verifier"):
-            result = verify_ws3(broadcast_protocol())
-        assert result.is_ws3
+    def test_api_and_engine_do_not_import_the_service(self):
+        package = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+        for layer in ("api", "engine"):
+            for path in (package / layer).glob("*.py"):
+                imported = set()
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                    if isinstance(node, ast.Import):
+                        imported.update(alias.name for alias in node.names)
+                    elif isinstance(node, ast.ImportFrom):
+                        imported.add(node.module)
+                        imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+                assert "repro.service.service" not in imported, path
 
-    def test_check_layered_termination_warns(self):
-        from repro.verification.layered_termination import check_layered_termination
+    def test_threads_sharing_a_verifier_overlap_safely(self):
+        """Concurrent checks share one context per protocol and get distinct job ids."""
+        seen = []
 
-        with pytest.warns(DeprecationWarning, match="use repro.api.Verifier"):
-            result = check_layered_termination(broadcast_protocol())
-        assert result.holds
+        class RecordContext(PropertyChecker):
+            name = "record-context"
 
-    def test_check_strong_consensus_warns(self):
-        from repro.verification.strong_consensus import check_strong_consensus
+            def check(self, protocol, options, *, predicate=None, context=None):
+                seen.append((protocol.name, id(context)))
+                return PropertyResult(property=self.name, verdict=Verdict.HOLDS)
 
-        with pytest.warns(DeprecationWarning, match="use repro.api.Verifier"):
-            result = check_strong_consensus(broadcast_protocol())
-        assert result.holds
+        verifier = Verifier()
+        factories = [broadcast_protocol, majority_protocol] * 4
+        reports, errors = [], []
+        start = threading.Barrier(len(factories))
 
-    def test_check_correctness_warns(self):
-        from repro.verification.correctness import check_correctness
+        def run(factory):
+            try:
+                protocol = factory()
+                start.wait(timeout=30)
+                reports.append(verifier.check(protocol, properties=["record-context"]))
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
 
-        protocol = broadcast_protocol()
-        with pytest.warns(DeprecationWarning, match="use repro.api.Verifier"):
-            result = check_correctness(protocol, protocol.metadata["predicate"])
-        assert result.holds
+        register_property(RecordContext())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(factory,)) for factory in factories]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            unregister_property("record-context")
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and len(reports) == len(factories)
+        assert all(report.ok for report in reports)
+        # One analysis context per protocol, whichever thread created it.
+        assert len(seen) == len(factories) and len(set(seen)) == 2
+        job_ids = {report.statistics["events"][0]["job_id"] for report in reports}
+        assert len(job_ids) == len(factories)
 
-    def test_verify_many_warns(self):
-        from repro.engine import verify_many
+    def test_caller_profile_sees_the_check(self):
+        import cProfile
+        import pstats
 
-        with pytest.warns(DeprecationWarning, match="use repro.api.Verifier"):
-            batch = verify_many([broadcast_protocol()])
-        assert batch.all_ws3
+        verifier = Verifier()
+        profiler = cProfile.Profile()
+        profiler.runcall(verifier.check, majority_protocol())
+        functions = {name for _, _, name in pstats.Stats(profiler).stats}
+        assert "verify_ws3_impl" in functions
 
 
 class TestProtocolLoaders:

@@ -1,4 +1,4 @@
-"""Tests for the batch front end (verify_many, check_many, result cache).
+"""Tests for the batch front end (``Verifier.check_many``, result cache).
 
 The parity tests pin the one-path design: a batch on two workers (one
 ``check-protocol`` subproblem per protocol) returns the same reports —
@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Verifier
-from repro.engine import ResultCache, verify_many
+from repro.engine import ResultCache
 from repro.protocols.library import (
     broadcast_protocol,
     coin_flip_protocol,
@@ -25,17 +25,23 @@ from repro.protocols.library import (
 )
 
 
+def check_many(protocols, cache=None, **options):
+    """One batch on a fresh session (``Verifier(**options).check_many``)."""
+    with Verifier(cache=cache, **options) as verifier:
+        return verifier.check_many(protocols)
+
+
 class TestVerifyMany:
     def test_serial_batch_verdicts(self):
-        batch = verify_many([majority_protocol(), coin_flip_protocol()])
+        batch = check_many([majority_protocol(), coin_flip_protocol()])
         assert [item.is_ws3 for item in batch] == [True, False]
         assert batch.statistics["verified"] == 2
         assert not batch.all_ws3
 
     def test_parallel_batch_matches_serial(self):
         protocols = [majority_protocol(), broadcast_protocol(), coin_flip_protocol()]
-        serial = verify_many(protocols)
-        parallel = verify_many([p for p in protocols], jobs=3)
+        serial = check_many(protocols)
+        parallel = check_many([p for p in protocols], jobs=3)
         assert [item.is_ws3 for item in parallel] == [item.is_ws3 for item in serial]
         assert [item.protocol_hash for item in parallel] == [
             item.protocol_hash for item in serial
@@ -48,11 +54,11 @@ class TestVerifyMany:
 
     def test_second_run_is_served_from_cache(self, tmp_path):
         protocols = [majority_protocol(), broadcast_protocol()]
-        cold = verify_many(protocols, cache_dir=tmp_path)
+        cold = check_many(protocols, cache_dir=str(tmp_path))
         assert cold.statistics["cache"] == {"hits": 0, "misses": 2, "stores": 2, "corrupt": 0}
         assert not any(item.from_cache for item in cold)
 
-        warm = verify_many(protocols, cache_dir=tmp_path)
+        warm = check_many(protocols, cache_dir=str(tmp_path))
         assert warm.statistics["cache"]["hits"] == 2
         assert warm.statistics["verified"] == 0
         assert all(item.from_cache for item in warm)
@@ -61,15 +67,15 @@ class TestVerifyMany:
         assert warm.statistics["time"] < 0.5
 
     def test_duplicate_protocols_verified_once(self):
-        batch = verify_many([broadcast_protocol(), broadcast_protocol()])
+        batch = check_many([broadcast_protocol(), broadcast_protocol()])
         assert batch.statistics["verified"] == 1
         assert batch.statistics["duplicates"] == 1
         assert batch.items[0].report == batch.items[1].report
 
     def test_shared_cache_object(self, tmp_path):
         cache = ResultCache(tmp_path)
-        verify_many([broadcast_protocol()], cache=cache)
-        batch = verify_many([broadcast_protocol()], cache=cache)
+        check_many([broadcast_protocol()], cache=cache)
+        batch = check_many([broadcast_protocol()], cache=cache)
         assert cache.statistics["hits"] == 1
         assert batch.items[0].from_cache
 

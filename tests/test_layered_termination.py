@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.protocols.protocol import OrderedPartition, PopulationProtocol, Transition
 from repro.verification.layered_termination import (
-    check_layered_termination,
+    check_layered_termination_impl,
     check_partition,
     enabling_graph,
     find_ranking_function,
@@ -165,12 +170,12 @@ class TestSearchStrategies:
 
 class TestTopLevel:
     def test_auto_strategy_majority(self, majority_protocol):
-        result = check_layered_termination(majority_protocol)
+        result = check_layered_termination_impl(majority_protocol)
         assert result.holds
         assert result.statistics["strategy"] in ("scc", "smt")
 
     def test_auto_strategy_broadcast(self, broadcast_protocol):
-        result = check_layered_termination(broadcast_protocol)
+        result = check_layered_termination_impl(broadcast_protocol)
         assert result.holds
         assert result.certificate.num_layers <= 1
 
@@ -184,7 +189,7 @@ class TestTopLevel:
             name="majority(with hint)",
             partition_hint=paper_partition(majority_by_name),
         )
-        result = check_layered_termination(protocol, strategy="hint")
+        result = check_layered_termination_impl(protocol, strategy="hint")
         assert result.holds
         assert result.statistics["strategy"] == "hint"
 
@@ -201,7 +206,7 @@ class TestTopLevel:
             input_map={"p": "p"},
             output_map={"p": 1, "q": 1},
         )
-        result = check_layered_termination(protocol)
+        result = check_layered_termination_impl(protocol)
         assert not result.holds
 
     def test_protocol_without_transitions(self):
@@ -212,6 +217,52 @@ class TestTopLevel:
             input_map={"p": "p"},
             output_map={"p": 1},
         )
-        result = check_layered_termination(protocol)
+        result = check_layered_termination_impl(protocol)
         assert result.holds
         assert result.certificate.num_layers == 0
+
+
+_RECORD_RANKING_LPS = """
+import json
+import repro.smtlite.highs as highs
+from repro.protocols import library
+from repro.verification.layered_termination import check_layered_termination_impl
+
+calls = []
+solve_lp = highs.solve_lp
+
+def recording(cost, columns, row_upper, col_lower, col_upper):
+    calls.append([cost.tolist(), [part.tolist() for part in columns], row_upper.tolist()])
+    return solve_lp(cost, columns, row_upper, col_lower, col_upper)
+
+highs.solve_lp = recording
+for protocol in (
+    library.majority_protocol(),
+    library.broadcast_protocol(),
+    library.flock_of_birds_protocol(4),
+    library.flock_of_birds_threshold_n_protocol(4),
+    library.remainder_protocol([1], 3, 1),
+    library.threshold_protocol([1], 2),
+):
+    check_layered_termination_impl(protocol, materialize_rankings=True)
+print(json.dumps(calls))
+"""
+
+
+def test_ranking_lps_do_not_depend_on_the_hash_seed():
+    """Layers are frozensets; the ranking LP must not follow their iteration order."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        completed = subprocess.run(
+            [sys.executable, "-c", _RECORD_RANKING_LPS],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        outputs.append(completed.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("[[")  # the LPs were recorded

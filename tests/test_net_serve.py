@@ -304,7 +304,12 @@ class TestLoadShedding:
         server.start()
         try:
             with make_client(server, retry=ClientRetryPolicy(max_attempts=1)) as client:
-                client.submit("majority", properties=["sleepy"])  # running or queued
+                client.submit("majority", properties=["sleepy"])  # running
+                # The dispatcher must have taken the first job off the queue,
+                # or the next submit would be shed instead of queued.
+                deadline = time.monotonic() + 10
+                while service.pending_count() and time.monotonic() < deadline:
+                    time.sleep(0.01)
                 client.submit("majority", properties=["sleepy"])  # fills the queue
                 with pytest.raises(OverloadedError) as excinfo:
                     for _ in range(4):

@@ -67,6 +67,18 @@ class TestFacadeParity:
         clone = VerificationReport.from_json(report.to_json())
         assert clone.statistics["events"] == report.statistics["events"]
 
+    def test_event_kinds_match_across_surfaces(self):
+        """An inline check and a service job emit the same event sequence."""
+        inline: list = []
+        with Verifier() as verifier:
+            verifier.check(broadcast_protocol(), on_event=lambda event: inline.append(event.TYPE))
+        with VerificationService() as service:
+            handle = service.submit(broadcast_protocol())
+            assert handle.wait(timeout=120)
+            submitted = [event.TYPE for event in handle.events_so_far()]
+        assert inline == submitted
+        assert inline[:2] == ["job_queued", "job_started"] and inline[-1] == "job_finished"
+
     def test_facade_propagates_checker_errors_unwrapped(self):
         with pytest.raises(ValueError, match="unknown property"):
             Verifier().check(broadcast_protocol(), properties=["never-registered"])
@@ -305,16 +317,19 @@ class TestConcurrentWorkers:
 
 
 class TestVerifierServiceSurface:
-    def test_verifier_exposes_its_service(self):
-        with Verifier() as verifier:
-            handle = verifier.service.submit(broadcast_protocol(), properties=["layered_termination"])
+    def test_service_contexts_are_its_verifiers(self):
+        with VerificationService() as service:
+            handle = service.submit(broadcast_protocol(), properties=["layered_termination"])
             assert handle.wait(timeout=120)
             assert handle.result().ok
-            # Shared analysis contexts: the facade and the job API see the
-            # same per-protocol context object.
-            assert verifier.analysis_context(broadcast_protocol()) is verifier.service.analysis_context(
+            # The service runs its jobs on its verifier: both see the same
+            # per-protocol context object, and the same options and engine.
+            verifier = service.verifier
+            assert service.analysis_context(broadcast_protocol()) is verifier.analysis_context(
                 broadcast_protocol()
             )
+            assert service.options is verifier.options
+            assert service.engine is verifier.engine
 
     def test_subproblem_envelopes_carry_the_job_id(self):
         from repro.engine.monitor import JobBinding, bound_to_job

@@ -35,7 +35,7 @@ from repro.verification.results import (
 from repro.verification.strong_consensus import (
     _ConstraintBuilder,
     TerminalPattern,
-    check_strong_consensus,
+    check_strong_consensus_impl,
     terminal_support_patterns,
 )
 
@@ -208,12 +208,12 @@ class TestStrategiesAgree:
     )
     def test_patterns_and_monolithic_agree(self, factory):
         protocol = factory()
-        assert check_strong_consensus(protocol, strategy="patterns").holds
-        assert check_strong_consensus(protocol, strategy="monolithic").holds
+        assert check_strong_consensus_impl(protocol, strategy="patterns").holds
+        assert check_strong_consensus_impl(protocol, strategy="monolithic").holds
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
-            check_strong_consensus(majority_protocol(), strategy="quantum")
+            check_strong_consensus_impl(majority_protocol(), strategy="quantum")
 
 
 class TestSolverReuse:
@@ -231,7 +231,7 @@ class TestSolverReuse:
 
         monkeypatch.setattr(sc_module, "create_solver", counting_solver)
         protocol = remainder_protocol([1], 5, 3)
-        result = check_strong_consensus(protocol, strategy="patterns")
+        result = check_strong_consensus_impl(protocol, strategy="patterns")
         assert result.holds
         assert result.statistics["pattern_pairs"] > 1
         assert len(instances) == 1
@@ -240,7 +240,7 @@ class TestSolverReuse:
     def test_pattern_strategy_reports_solver_statistics(self):
         # White-box assertions on the smtlite statistics keys, so the
         # backend is pinned (the CI backend matrix must not redirect it).
-        result = check_strong_consensus(
+        result = check_strong_consensus_impl(
             flock_of_birds_protocol(4), strategy="patterns", backend="smtlite"
         )
         solver_stats = result.statistics["solver"]
@@ -252,7 +252,7 @@ class TestSolverReuse:
     def test_side_prechecks_hit_theory_cache(self):
         """The per-pair side skeletons recur, so the memo cache must fire."""
         protocol = remainder_protocol([1], 5, 3)
-        result = check_strong_consensus(protocol, strategy="patterns", backend="smtlite")
+        result = check_strong_consensus_impl(protocol, strategy="patterns", backend="smtlite")
         assert result.holds
         assert result.statistics["solver"]["theory_cache_hits"] > 0
 

@@ -7,15 +7,15 @@ import pytest
 from repro.datatypes.multiset import Multiset
 from repro.protocols.protocol import PopulationProtocol, Transition
 from repro.smtlite.formula import Formula
-from repro.verification.correctness import check_correctness
+from repro.verification.correctness import check_correctness_impl
 from repro.verification.explicit import (
     check_predicate_on_inputs,
     verify_inputs_up_to,
     verify_single_input,
 )
 from repro.verification.flow import PotentialReachabilityWitness, check_potential_reachability
-from repro.verification.strong_consensus import check_strong_consensus, find_refinement
-from repro.verification.ws3 import verify_ws3
+from repro.verification.strong_consensus import check_strong_consensus_impl, find_refinement
+from repro.verification.ws3 import verify_ws3_impl
 
 
 def coin_flip_protocol() -> PopulationProtocol:
@@ -63,16 +63,16 @@ class WrongMajorityPredicate(MajorityPredicate):
 @pytest.mark.parametrize("theory", ["auto", "exact"])
 class TestStrongConsensus:
     def test_majority_satisfies_strong_consensus(self, majority_protocol, theory):
-        result = check_strong_consensus(majority_protocol, theory=theory)
+        result = check_strong_consensus_impl(majority_protocol, theory=theory)
         assert result.holds
         assert result.statistics["iterations"] >= 1
 
     def test_broadcast_satisfies_strong_consensus(self, broadcast_protocol, theory):
-        result = check_strong_consensus(broadcast_protocol, theory=theory)
+        result = check_strong_consensus_impl(broadcast_protocol, theory=theory)
         assert result.holds
 
     def test_coin_flip_violates_strong_consensus(self, theory):
-        result = check_strong_consensus(coin_flip_protocol(), theory=theory)
+        result = check_strong_consensus_impl(coin_flip_protocol(), theory=theory)
         assert not result.holds
         assert result.counterexample is not None
         ce = result.counterexample
@@ -115,7 +115,7 @@ class TestRefinementMechanics:
 
 class TestWS3:
     def test_majority_is_ws3(self, majority_protocol):
-        result = verify_ws3(majority_protocol)
+        result = verify_ws3_impl(majority_protocol)
         assert result.is_ws3
         assert result.is_well_specified
         assert result.layered_termination.holds
@@ -123,10 +123,10 @@ class TestWS3:
         assert "LayeredTermination" in result.summary()
 
     def test_broadcast_is_ws3(self, broadcast_protocol):
-        assert verify_ws3(broadcast_protocol).is_ws3
+        assert verify_ws3_impl(broadcast_protocol).is_ws3
 
     def test_coin_flip_is_not_ws3(self):
-        result = verify_ws3(coin_flip_protocol(), check_consensus_first=True)
+        result = verify_ws3_impl(coin_flip_protocol(), check_consensus_first=True)
         assert not result.is_ws3
         assert not result.strong_consensus.holds
 
@@ -141,14 +141,14 @@ class TestWS3:
             input_map={"p": "p"},
             output_map={"p": 1, "q": 1},
         )
-        result = verify_ws3(protocol)
+        result = verify_ws3_impl(protocol)
         assert not result.is_ws3
         assert not result.layered_termination.holds
         # StrongConsensus is skipped when LayeredTermination already failed.
         assert result.strong_consensus is None
 
     def test_statistics_fields(self, majority_protocol):
-        result = verify_ws3(majority_protocol)
+        result = verify_ws3_impl(majority_protocol)
         assert result.statistics["num_states"] == 4
         assert result.statistics["num_transitions"] == 4
         assert result.statistics["time"] > 0
@@ -156,11 +156,11 @@ class TestWS3:
 
 class TestCorrectness:
     def test_majority_computes_its_predicate(self, majority_protocol):
-        result = check_correctness(majority_protocol, MajorityPredicate())
+        result = check_correctness_impl(majority_protocol, MajorityPredicate())
         assert result.holds
 
     def test_majority_does_not_compute_strict_majority(self, majority_protocol):
-        result = check_correctness(majority_protocol, WrongMajorityPredicate())
+        result = check_correctness_impl(majority_protocol, WrongMajorityPredicate())
         assert not result.holds
         assert result.counterexample is not None
         ce = result.counterexample
