@@ -41,6 +41,9 @@ class JobStatus(str, Enum):
         return self.value
 
 
+#: The wire values of the terminal statuses: a job in one of them is final.
+TERMINAL_STATUSES = frozenset(status.value for status in JobStatus if status.finished)
+
 #: The ``job_finished`` outcome of each terminal status.
 _OUTCOMES = {JobStatus.DONE: "done", JobStatus.FAILED: "error", JobStatus.CANCELLED: "cancelled"}
 

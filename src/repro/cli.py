@@ -609,7 +609,7 @@ def _run_serve(args) -> int:
         journal_compact_threshold=args.compact_threshold,
     )
     if args.tcp or args.http:
-        from repro.service.net import NetworkServer, ServerLimits, parse_address
+        from repro.service.net import NetworkServer, ServerLimits, listening_line, parse_address
 
         if args.tcp and args.http and args.tcp != args.http:
             print(
@@ -634,33 +634,18 @@ def _run_serve(args) -> int:
             if value is not None
         }
         server = NetworkServer(service, host, port, limits=ServerLimits(**overrides))
-        bound_host, bound_port = server.start()
-
         # Announced on stdout so wrappers (tests, the supervisor, the load
         # harness) learn the ephemeral port of a --tcp HOST:0 daemon.  The
         # announcement runs via on_ready — after the SIGTERM handler is in
         # place — so a wrapper may drain us the instant it reads the line.
-        def announce_listening():
-            print(
-                json.dumps(
-                    {
-                        "type": "listening",
-                        "host": bound_host,
-                        "port": bound_port,
-                        "protocols": ["jsonl", "http"],
-                    }
-                ),
-                flush=True,
-            )
-
-        return server.serve_forever(on_ready=announce_listening)
+        return server.serve_forever(on_ready=lambda: print(listening_line(server), flush=True))
     return ServeSession(service, sys.stdin, sys.stdout).run()
 
 
 def _run_route(args) -> int:
-    from repro.service.net import ServerLimits, parse_address
+    from repro.service.net import ServerLimits, listening_line, parse_address
     from repro.service.replicas import ReplicaError, ReplicaSupervisor
-    from repro.service.router import JobRouter, RouterServer, announce
+    from repro.service.router import JobRouter, RouterServer
 
     host, port = parse_address(args.tcp)
     serve_args: tuple[str, ...] = ()
@@ -689,8 +674,7 @@ def _run_route(args) -> int:
     }
     router = JobRouter(supervisor)
     server = RouterServer(router, host, port, limits=ServerLimits(**overrides))
-    server.start()
-    return server.serve_forever(on_ready=lambda: print(announce(server), flush=True))
+    return server.serve_forever(on_ready=lambda: print(listening_line(server), flush=True))
 
 
 def _run_trace(args) -> int:

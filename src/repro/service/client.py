@@ -39,6 +39,8 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+from repro.api.jobs import TERMINAL_STATUSES
+
 logger = logging.getLogger(__name__)
 
 
@@ -380,5 +382,5 @@ class VerificationClient:
             cursor = int(response.get("next", cursor + len(events)))
             if not follow:
                 return
-            if response.get("status") in ("done", "failed", "cancelled") and not events:
+            if response.get("status") in TERMINAL_STATUSES and not events:
                 return

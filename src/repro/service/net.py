@@ -7,10 +7,11 @@ protocols on it, sniffing the first bytes of every connection:
   :class:`~repro.service.serve.ServeSession` per connection over the
   shared :class:`~repro.service.service.VerificationService`, with
   streamed events multiplexed per connection;
-* a minimal HTTP/1.1 adapter — ``POST /jobs``, ``GET /jobs/<id>``,
-  ``GET /jobs/<id>/events`` (chunked NDJSON), ``DELETE /jobs/<id>``,
-  ``GET /healthz`` and ``GET /readyz`` — for clients that would rather
-  curl than speak the line protocol.
+* a minimal HTTP/1.1 adapter for clients that would rather curl than
+  speak the line protocol.  The routes that answer one op are rows of
+  :data:`_HTTP_ROUTES`; ``GET /jobs/<id>`` (status plus result) and
+  ``GET /jobs/<id>/events`` (chunked NDJSON) call the same dispatcher,
+  and ``GET /healthz`` / ``GET /readyz`` answer for the server itself.
 
 The robustness layer is the point; every limit lives in
 :class:`ServerLimits`:
@@ -58,6 +59,7 @@ import time
 import urllib.parse
 from dataclasses import dataclass, replace
 
+from repro.api.jobs import TERMINAL_STATUSES
 from repro.obs.metrics import REGISTRY, prometheus_text
 from repro.service.serve import OverloadedError, ServeSession
 from repro.testing import faults
@@ -86,8 +88,16 @@ _HTTP_REASONS = {
 
 _HTTP_PREFIX = re.compile(rb"^[A-Z]{3,8}\s")
 
-#: Terminal job statuses (mirrors :class:`~repro.service.jobs.JobStatus`).
-_TERMINAL_STATUSES = ("done", "failed", "cancelled")
+#: The HTTP routes that answer exactly one op: (method, path, op, success
+#: status).  A failed op answers 503 with ``retry-after`` when it was shed,
+#: 404 when the path names a job, and 400 otherwise.
+_HTTP_ROUTES = (
+    ("POST", "/jobs", "submit", 202),
+    ("GET", "/jobs", "jobs", 200),
+    ("DELETE", "/jobs/(?P<job>[^/]+)", "cancel", 200),
+    ("GET", "/statsz", "stats", 200),
+    ("GET", "/metricsz", "metrics", 200),
+)
 
 #: Upper bound on HTTP request-line + header bytes (headers are tiny; a
 #: "header" growing past this is an attack or a bug, not a request).
@@ -128,6 +138,25 @@ def parse_address(text: str) -> tuple[str, int]:
     except ValueError:
         raise ValueError(f"bad address {text!r}: the port must be an integer") from None
     return host or "127.0.0.1", port
+
+
+def listening_line(server: "NetworkServer") -> str:
+    """The ``{"type": "listening", ...}`` line a started server announces.
+
+    ``serve --tcp`` and ``route`` print it on stdout so wrappers (the
+    replica supervisor, tests, load harnesses) learn an ephemeral port; a
+    router adds its shard count.
+    """
+    host, port = server.address
+    announcement = {"type": "listening", "host": host, "port": port, "protocols": ["jsonl", "http"]}
+    if server.router is not None:
+        announcement["shards"] = len(server.router.shard_ids)
+    return json.dumps(announcement)
+
+
+def _rejection(message: str, **extra) -> dict:
+    """A connection-level error response (no op, no id)."""
+    return {"type": "response", "ok": False, "error": message, **extra}
 
 
 def _close_socket(sock: socket.socket) -> None:
@@ -308,83 +337,6 @@ class _EventPump:
         return self._thread.is_alive()
 
 
-class _ServerStatsMixin:
-    """Per-connection session behaviour every server session shares.
-
-    All four session flavours — TCP and HTTP-capture, here and in the
-    sharded router — attach the owning server's counters to the ``stats``
-    payload and funnel submits through its admission control.  One
-    definition replaces four near-identical copies; the ``metrics`` op
-    (and therefore ``GET /metricsz``) rides on the same ``_server`` hook
-    via the server's :meth:`NetworkServer.metrics_payload` override point.
-    """
-
-    _server: "NetworkServer"
-
-    def _admit_job(self, request: dict) -> None:
-        self._server.check_job_admission()
-
-    def _stats_payload(self) -> dict:
-        payload = super()._stats_payload()
-        payload["server"] = self._server.statsz_payload()
-        return payload
-
-    def _metrics_payload(self) -> dict:
-        return self._server.metrics_payload()
-
-
-class _NetSession(_ServerStatsMixin, ServeSession):
-    """One TCP connection's serve session over the shared service."""
-
-    def __init__(self, server: "NetworkServer", writer: _ConnectionWriter, pump: _EventPump):
-        super().__init__(server.service, None, None, owns_service=False)
-        self._server = server
-        self._writer = writer
-        self._pump = pump
-
-    def _write(self, payload: dict) -> None:
-        self._writer.write_line(payload, kind="response")
-
-    def _stream_event(self, event) -> None:
-        self._pump.push({"type": "event", "job": event.job_id, "event": event.to_dict()})
-
-
-class _CaptureMixin:
-    """Collect responses instead of writing them (the HTTP adapters).
-
-    The HTTP routes reuse the line protocol's handlers — request loading,
-    validation, admission control, error mapping — by feeding one op per
-    HTTP request through ``handle_line`` and translating the captured
-    response into a status code.  Mixed into both the direct serve session
-    and the router's proxying session.
-    """
-
-    responses: list
-
-    def _write(self, payload: dict) -> None:
-        self.responses.append(payload)
-
-    def _stream_event(self, event) -> None:  # pragma: no cover - HTTP never streams inline
-        pass
-
-    def call(self, request: dict) -> dict:
-        """Run one op; returns its (single) response payload."""
-        self.responses.clear()
-        self.handle_line(json.dumps(request))
-        if not self.responses:  # pragma: no cover - every op responds
-            return {"ok": False, "error": "no response"}
-        return self.responses[-1]
-
-
-class _CaptureSession(_ServerStatsMixin, _CaptureMixin, ServeSession):
-    """A session whose responses are collected, not written (HTTP adapter)."""
-
-    def __init__(self, server: "NetworkServer"):
-        super().__init__(server.service, None, None, owns_service=False)
-        self._server = server
-        self.responses = []
-
-
 class NetworkServer:
     """Threaded dual-protocol (JSON-lines + HTTP/1.1) serving tier.
 
@@ -399,6 +351,10 @@ class NetworkServer:
     limits:
         A :class:`ServerLimits`; defaults apply when omitted.
     """
+
+    #: The :class:`~repro.service.router.JobRouter` a router's server routes
+    #: through (``None``: ops are served by the local service).
+    router = None
 
     def __init__(
         self,
@@ -636,26 +592,6 @@ class NetworkServer:
         stats["accepting"] = not self._draining.is_set()
         return stats
 
-    def metrics_payload(self) -> dict:
-        """The registry snapshot behind the ``metrics`` op and ``/metricsz``.
-
-        The sharded router overrides this with a fleet-wide aggregate
-        (every shard's snapshot labelled and merged with its own).
-        """
-        return REGISTRY.snapshot()
-
-    # ------------------------------------------------------------------
-    # Session factories (overridden by the sharded router)
-    # ------------------------------------------------------------------
-
-    def _make_session(self, writer: _ConnectionWriter, pump: _EventPump) -> ServeSession:
-        """The JSON-lines session of one TCP connection."""
-        return _NetSession(self, writer, pump)
-
-    def _make_capture(self):
-        """A response-capturing session (one HTTP request's op)."""
-        return _CaptureSession(self)
-
     # ------------------------------------------------------------------
     # Accepting and sniffing
     # ------------------------------------------------------------------
@@ -711,20 +647,10 @@ class NetworkServer:
                     f"connection: close\r\n\r\n{body}"
                 ).encode("utf-8")
             else:
-                data = (
-                    json.dumps(
-                        {
-                            "type": "response",
-                            "ok": False,
-                            "error": message,
-                            "overloaded": True,
-                            "retryable": True,
-                            "retry_after": retry_after,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                ).encode("utf-8")
+                rejection = _rejection(
+                    message, overloaded=True, retryable=True, retry_after=retry_after
+                )
+                data = (json.dumps(rejection, sort_keys=True) + "\n").encode("utf-8")
             try:
                 connection.sendall(data)
                 # Half-close and drain whatever the client already sent (its
@@ -769,7 +695,7 @@ class NetworkServer:
     def _serve_tcp(self, connection: socket.socket, peer: str) -> None:
         writer = _ConnectionWriter(connection, peer)
         pump = _EventPump(writer, self.limits.event_buffer, on_drop=self._count_dropped_event)
-        session = self._make_session(writer, pump)
+        session = ServeSession(self.service, server=self, write=writer.write_line, sink=pump.push)
         bucket = None
         if self.limits.rate_limit > 0:
             bucket = _TokenBucket(self.limits.rate_limit, self.limits.rate_burst)
@@ -793,27 +719,29 @@ class NetworkServer:
                             break
                     if overflow:
                         self._count("frame_errors")
-                        session._fail(
-                            None,
-                            f"frame exceeds the {self.limits.max_frame_bytes}-byte limit "
-                            "and was discarded",
-                            frame_error=True,
+                        writer.write_line(
+                            _rejection(
+                                f"frame exceeds the {self.limits.max_frame_bytes}-byte limit "
+                                "and was discarded",
+                                frame_error=True,
+                            )
                         )
                         continue
                     if bucket is not None and not bucket.take():
                         self._count("frame_errors")
-                        session._fail(
-                            None,
-                            f"rate limit exceeded ({self.limits.rate_limit:g} frames/s); "
-                            "slow down and retry",
-                            overloaded=True,
-                            retryable=True,
-                            retry_after=max(
-                                1.0 / self.limits.rate_limit, self.limits.retry_after_seconds
-                            ),
+                        writer.write_line(
+                            _rejection(
+                                f"rate limit exceeded ({self.limits.rate_limit:g} frames/s); "
+                                "slow down and retry",
+                                overloaded=True,
+                                retryable=True,
+                                retry_after=max(
+                                    1.0 / self.limits.rate_limit, self.limits.retry_after_seconds
+                                ),
+                            )
                         )
                         continue
-                    if session.handle_line(line):
+                    if session.serve_line(line):
                         break
                 except OSError:
                     break  # the client is gone; responses have nowhere to go
@@ -827,7 +755,7 @@ class NetworkServer:
             # client), then join the pump.
             with self._lock:
                 self._busy.discard(connection)
-            session.close_session()
+            session.close()
             pump.close(timeout=1.0)
             _close_socket(connection)
             pump.join(timeout=5.0)
@@ -972,6 +900,10 @@ class NetworkServer:
             return 503, {"ok": False, "status": "draining"}
         return 200, {"ok": True, "status": "ready", **self._ping_payload()}
 
+    def _dispatch(self, request: dict) -> dict:
+        """Answer one op for the HTTP adapter (no stream, no connection state)."""
+        return ServeSession(self.service, server=self).dispatch(request)
+
     def _route_http(self, writer: _ConnectionWriter, request: dict) -> None:
         method, path, query = request["method"], request["path"], request["query"]
         if path == "/healthz":
@@ -984,23 +916,17 @@ class NetworkServer:
                 headers = {"retry-after": str(math.ceil(self.limits.retry_after_seconds))}
             self._http_respond(writer, status, payload, extra_headers=headers)
             return
-        if path == "/statsz" and method == "GET":
-            response = self._make_capture().call({"op": "stats"})
-            self._http_respond(writer, 200 if response.get("ok") else 400, response)
-            return
-        if path == "/metricsz" and method == "GET":
-            self._http_metrics(writer)
-            return
-        if path == "/jobs" and method == "POST":
-            self._http_submit(writer, request)
-            return
-        if path == "/jobs" and method == "GET":
-            response = self._make_capture().call({"op": "jobs"})
-            self._http_respond(writer, 200 if response.get("ok") else 400, response)
-            return
+        for route_method, pattern, op, status in _HTTP_ROUTES:
+            match = re.fullmatch(pattern, path)
+            if match and method == route_method:
+                self._http_op(writer, request, op, match.groupdict(), status)
+                return
         match = re.fullmatch(r"/jobs/([^/]+)", path)
         if match:
-            self._http_job(writer, method, match.group(1), query)
+            if method == "GET":
+                self._http_job(writer, match.group(1), query)
+            else:
+                self._http_respond(writer, 405, {"ok": False, "error": f"method {method} not allowed"})
             return
         match = re.fullmatch(r"/jobs/([^/]+)/events", path)
         if match and method == "GET":
@@ -1008,18 +934,35 @@ class NetworkServer:
             return
         self._http_respond(writer, 404, {"ok": False, "error": f"no route for {method} {path}"})
 
-    def _http_metrics(self, writer: _ConnectionWriter) -> None:
-        """``GET /metricsz``: the metrics snapshot as Prometheus text.
+    def _http_op(
+        self, writer: _ConnectionWriter, request: dict, op: str, fields: dict, status: int
+    ) -> None:
+        """One row of :data:`_HTTP_ROUTES`: the op with the path's fields
+        (and, for a POST, the JSON body's) as its request."""
+        if request["method"] == "POST":
+            try:
+                body = json.loads(request["body"].decode("utf-8") or "{}")
+                if not isinstance(body, dict):
+                    raise ValueError("the request body must be a JSON object")
+            except (ValueError, UnicodeDecodeError) as error:
+                self._http_respond(writer, 400, {"ok": False, "error": f"bad JSON body: {error}"})
+                return
+            body.pop("stream", None)  # inline streaming is the TCP protocol's job
+            fields = {**body, **fields}
+        response = self._dispatch({**fields, "op": op})
+        if response["ok"] and op == "metrics":
+            self._http_text(writer, prometheus_text(response["metrics"]))
+        elif response["ok"]:
+            self._http_respond(writer, status, response)
+        elif response.get("overloaded"):
+            retry_after = math.ceil(float(response.get("retry_after", 1.0)))
+            self._http_respond(writer, 503, response, extra_headers={"retry-after": str(retry_after)})
+        else:
+            self._http_respond(writer, 404 if "job" in fields else 400, response)
 
-        The snapshot comes through the same captured ``metrics`` op the
-        line protocol serves, so the router's fleet-wide aggregation is
-        inherited for free; only the rendering differs from the JSON ops.
-        """
-        response = self._make_capture().call({"op": "metrics"})
-        if not response.get("ok"):
-            self._http_respond(writer, 400, response)
-            return
-        body = prometheus_text(response.get("metrics", {})).encode("utf-8")
+    def _http_text(self, writer: _ConnectionWriter, text: str) -> None:
+        """A Prometheus text exposition (``GET /metricsz``)."""
+        body = text.encode("utf-8")
         lines = [
             "HTTP/1.1 200 OK",
             "content-type: text/plain; version=0.0.4; charset=utf-8",
@@ -1028,47 +971,17 @@ class NetworkServer:
         ]
         writer.write_bytes(("\r\n".join(lines) + "\r\n\r\n").encode("utf-8") + body, kind="http")
 
-    def _http_submit(self, writer: _ConnectionWriter, request: dict) -> None:
-        try:
-            body = json.loads(request["body"].decode("utf-8") or "{}")
-            if not isinstance(body, dict):
-                raise ValueError("the request body must be a JSON object")
-        except (ValueError, UnicodeDecodeError) as error:
-            self._http_respond(writer, 400, {"ok": False, "error": f"bad JSON body: {error}"})
-            return
-        body.pop("stream", None)  # inline streaming is the TCP protocol's job
-        body.pop("op", None)
-        response = self._make_capture().call({"op": "submit", **body})
-        if response.get("ok"):
-            self._http_respond(writer, 202, response)
-        elif response.get("overloaded"):
-            self._http_respond(
-                writer,
-                503,
-                response,
-                extra_headers={"retry-after": str(math.ceil(float(response.get("retry_after", 1.0))))},
-            )
-        else:
-            self._http_respond(writer, 400, response)
-
-    def _http_job(self, writer: _ConnectionWriter, method: str, job_id: str, query: dict) -> None:
-        if method == "DELETE":
-            response = self._make_capture().call({"op": "cancel", "job": job_id})
-            self._http_respond(writer, 200 if response.get("ok") else 404, response)
-            return
-        if method != "GET":
-            self._http_respond(writer, 405, {"ok": False, "error": f"method {method} not allowed"})
-            return
+    def _http_job(self, writer: _ConnectionWriter, job_id: str, query: dict) -> None:
+        """``GET /jobs/<id>[?wait=<seconds>]``: status, plus the result once final."""
         wait_text = (query.get("wait") or ["0"])[0]
         try:
             wait_seconds = float(wait_text)
         except ValueError:
             wait_seconds = 0.0
-        capture = self._make_capture()
         if wait_seconds > 0:
-            capture.call({"op": "wait", "job": job_id, "timeout": wait_seconds})
-        status_response = capture.call({"op": "status", "job": job_id})
-        if not status_response.get("ok"):
+            self._dispatch({"op": "wait", "job": job_id, "timeout": wait_seconds})
+        status_response = self._dispatch({"op": "status", "job": job_id})
+        if not status_response["ok"]:
             self._http_respond(writer, 404, {"ok": False, "error": f"unknown job {job_id!r}"})
             return
         payload: dict = {
@@ -1078,9 +991,9 @@ class NetworkServer:
             "status": status_response.get("status"),
             "events": status_response.get("events", 0),
         }
-        if payload["status"] in _TERMINAL_STATUSES:
-            response = capture.call({"op": "result", "job": job_id, "wait": False})
-            if response.get("ok"):
+        if payload["status"] in TERMINAL_STATUSES:
+            response = self._dispatch({"op": "result", "job": job_id, "wait": False})
+            if response["ok"]:
                 for key in ("report", "batch"):
                     if key in response:
                         payload[key] = response[key]
@@ -1090,9 +1003,7 @@ class NetworkServer:
 
     def _http_events(self, writer: _ConnectionWriter, job_id: str, query: dict) -> None:
         """Chunked NDJSON event stream, resumable via ``?since=<seq>``."""
-        capture = self._make_capture()
-        probe = capture.call({"op": "status", "job": job_id})
-        if not probe.get("ok"):
+        if not self._dispatch({"op": "status", "job": job_id})["ok"]:
             self._http_respond(writer, 404, {"ok": False, "error": f"unknown job {job_id!r}"})
             return
         try:
@@ -1100,6 +1011,12 @@ class NetworkServer:
         except ValueError:
             since = 0
         follow = (query.get("follow") or ["1"])[0] not in ("0", "false", "no")
+        # The backlog comes before any header is written, so a request the
+        # op refuses (a negative cursor) still gets a plain 400.
+        response = self._dispatch({"op": "events", "job": job_id, "since": since})
+        if not response["ok"]:
+            self._http_respond(writer, 400, response)
+            return
         head = (
             "HTTP/1.1 200 OK\r\n"
             "content-type: application/x-ndjson\r\n"
@@ -1110,27 +1027,30 @@ class NetworkServer:
         # Pull-based: this connection's thread polls the job's event log in
         # bounded long-poll slices, so a slow reader backpressures only
         # itself.  Stops once the job is terminal and the log is drained (or
-        # immediately after one pass when ``follow`` is off).
+        # immediately after the backlog when ``follow`` is off).
         deadline = time.monotonic() + self.limits.idle_timeout
-        cursor = since
         while True:
-            request = {"op": "events", "job": job_id, "since": cursor}
-            if follow:
-                request["wait"] = True
-                request["timeout"] = max(0.1, min(10.0, deadline - time.monotonic()))
-            response = capture.call(request)
-            if not response.get("ok"):
-                break
             events = response.get("events", [])
             for event in events:
                 line = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
                 chunk = f"{len(line):x}\r\n".encode("ascii") + line + b"\r\n"
                 writer.write_bytes(chunk, kind="event")
-            cursor = response.get("next", cursor + len(events))
+            since = response.get("next", since + len(events))
             if not follow:
                 break
             if events:
                 deadline = time.monotonic() + self.limits.idle_timeout
-            elif response.get("status") in _TERMINAL_STATUSES or time.monotonic() >= deadline:
+            elif response.get("status") in TERMINAL_STATUSES or time.monotonic() >= deadline:
+                break
+            response = self._dispatch(
+                {
+                    "op": "events",
+                    "job": job_id,
+                    "since": since,
+                    "wait": True,
+                    "timeout": max(0.1, min(10.0, deadline - time.monotonic())),
+                }
+            )
+            if not response["ok"]:
                 break
         writer.write_bytes(b"0\r\n\r\n", kind="http")

@@ -17,10 +17,13 @@ Rendezvous hashing gives the two invariants the tier is built on:
 
 The router speaks exactly the wire protocols of
 :class:`~repro.service.net.NetworkServer` (JSON-lines sessions and the HTTP
-adapter on one dual-protocol listener): job-scoped ops are proxied to the
-owning shard with job ids namespaced as ``shard:id`` (``s0:job-3``),
-fleet-wide ops (``jobs``, ``stats``, healthz/readyz) are scatter-gathered,
-and SIGTERM drain propagates to every replica.  When a replica dies
+adapter on one dual-protocol listener), from the same op table
+(:data:`repro.service.serve.OPS`); it dispatches each op by its routing
+class.  ``owner`` ops are proxied to the owning shard with job ids
+namespaced as ``shard:id`` (``s0:job-3``), ``gather`` ops (``jobs``,
+``stats``, ``metrics``) are scattered to every shard and merged by their
+table entry, healthz/readyz aggregate the fleet, and SIGTERM drain
+propagates to every replica.  When a replica dies
 mid-job, :class:`~repro.service.client.VerificationClient` retries carry
 the proxied op over to the restarted replica, whose journal recovery makes
 the failover lossless for every acknowledged job.
@@ -29,7 +32,6 @@ the failover lossless for every acknowledged job.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import threading
 import time
@@ -43,16 +45,11 @@ from repro.service.client import (
     TransportError,
     VerificationClient,
 )
-from repro.obs.metrics import REGISTRY, label_snapshot, merge_snapshots
-from repro.service.net import (
-    NetworkServer,
-    _CaptureMixin,
-    _ConnectionWriter,
-    _EventPump,
-    _ServerStatsMixin,
-)
+from repro.api.jobs import TERMINAL_STATUSES
+from repro.obs.metrics import REGISTRY
+from repro.service.net import NetworkServer
 from repro.service.replicas import ReplicaError, ReplicaSupervisor
-from repro.service.serve import OverloadedError, ServeError, ServeSession
+from repro.service.serve import Op, OverloadedError, ServeError, ServeSession, submitted_protocols
 
 logger = logging.getLogger(__name__)
 
@@ -176,7 +173,8 @@ class _ShardLink:
 
 
 class JobRouter:
-    """Routing state shared by every session of a :class:`RouterServer`."""
+    """Routing state shared by every session of a :class:`RouterServer`,
+    and the step that serves a table op by its routing class (:meth:`route`)."""
 
     def __init__(
         self,
@@ -216,28 +214,11 @@ class JobRouter:
         same shard (its cache) regardless of spec order.
         """
         from repro.engine.cache import protocol_content_hash
-        from repro.io.loading import resolve_protocol_spec
 
+        hashes = [protocol_content_hash(protocol) for protocol in submitted_protocols(request)]
         if "specs" in request:
-            specs = request["specs"]
-            if not isinstance(specs, (list, tuple)) or not specs:
-                raise ServeError("submit 'specs' must be a non-empty list")
-            hashes = sorted(
-                protocol_content_hash(resolve_protocol_spec(spec)) for spec in specs
-            )
-            return hashlib.sha256("\n".join(hashes).encode("ascii")).hexdigest()
-        if "protocol" in request:
-            from repro.io.serialization import protocol_from_dict
-
-            try:
-                protocol = protocol_from_dict(request["protocol"])
-            except Exception as error:
-                raise ServeError(f"bad inline protocol: {error}") from error
-            return protocol_content_hash(protocol)
-        spec = request.get("spec")
-        if not spec:
-            raise ServeError("submit needs a 'spec', 'specs' or an inline 'protocol'")
-        return protocol_content_hash(resolve_protocol_spec(spec))
+            return hashlib.sha256("\n".join(sorted(hashes)).encode("ascii")).hexdigest()
+        return hashes[0]
 
     def count_routed(self, shard_id: str) -> None:
         with self._lock:
@@ -249,26 +230,6 @@ class JobRouter:
     def statistics_snapshot(self) -> dict:
         with self._lock:
             return dict(self.statistics)
-
-    def metrics_payload(self) -> dict:
-        """The fleet-wide metrics snapshot behind ``/metricsz``.
-
-        Every reachable shard's registry snapshot (scatter-gathered over
-        the ``metrics`` op) is stamped with a ``shard`` label, the router's
-        own registry with ``shard="router"``, and the lot merged into one
-        snapshot — every time series in the result says which process it
-        came from, and the sum is rendered as a single valid Prometheus
-        exposition (one HELP/TYPE per metric).  Unreachable shards are
-        simply absent, mirroring the ``stats`` op's fleet view.
-        """
-        gathered = self.gather({"op": "metrics"})
-        snapshots = []
-        for shard_id in self.shard_ids:
-            response = gathered.get(shard_id)
-            if response and response.get("ok") and isinstance(response.get("metrics"), dict):
-                snapshots.append(label_snapshot(response["metrics"], shard=shard_id))
-        snapshots.append(label_snapshot(REGISTRY.snapshot(), shard="router"))
-        return merge_snapshots(*snapshots)
 
     # ------------------------------------------------------------------
     # Proxying
@@ -323,95 +284,74 @@ class JobRouter:
         for link in self._links.values():
             link.close()
 
+    # ------------------------------------------------------------------
+    # Dispatch by routing class
+    # ------------------------------------------------------------------
 
-class RouterSession(ServeSession):
-    """A serve session that proxies every op to the owning shard.
-
-    Reuses :class:`ServeSession`'s request loop (framing, error mapping,
-    overload responses) with every handler replaced by a proxying one; it
-    holds no :class:`VerificationService` (``self.service`` is ``None``).
-    """
-
-    def __init__(self, router: JobRouter, input_stream=None, output_stream=None):
-        super().__init__(None, input_stream, output_stream, owns_service=False)
-        self.router = router
-        self._streams: list[threading.Event] = []
-
-    # -- lifecycle -----------------------------------------------------
-
-    def close_session(self) -> None:
-        """End the session: stop event pumps; jobs stay put.
-
-        Every shard runs on a durable journal, so — exactly like the
-        journalled branch of the base class — nothing is cancelled when a
-        connection goes away: jobs remain pollable from other sessions.
-        """
-        if self._session_closed:
-            return
-        self._session_closed = True
-        for stop in self._streams:
-            stop.set()
-
-    # -- helpers -------------------------------------------------------
-
-    def _parse_job(self, request: dict) -> tuple[str, str]:
-        job_id = request.get("job")
-        if not job_id:
-            raise ServeError("this op needs a 'job' id")
-        shard, local = split_job_id(job_id)
-        if shard not in self.router.shard_ids:
+    def route(self, session: ServeSession, op: Op, request: dict) -> dict:
+        """Serve one op of ``session`` by its routing class; returns the body."""
+        if op.route == "gather":
+            return op.merge(session, self.gather({"op": op.name}))
+        forward = {key: value for key, value in request.items() if key != "id"}
+        if not op.needs_job:
+            return self._submit(session, forward)
+        job_id = request["job"]
+        shard, forward["job"] = split_job_id(job_id)
+        if shard not in self.shard_ids:
             raise ServeError(f"unknown job {job_id!r} (no shard {shard!r})")
-        return shard, local
+        poll = op.long_poll(request) if op.long_poll else None
+        if poll is not None:
+            probe, settled = poll
+            if probe is request:
+                return self._relay(shard, self._sliced(shard, forward, settled))
+            response = self._sliced(shard, {**probe, "job": forward["job"]}, settled)
+            if not response.get("ok"):
+                return self._relay(shard, response)
+            # Settled: run the op itself without blocking.
+            forward["wait"] = False
+            forward.pop("timeout", None)
+        return self._relay(shard, self.shard_call(shard, forward))
+
+    def _submit(self, session: ServeSession, forward: dict) -> dict:
+        """Route a submit to the shard owning its content hash."""
+        session.admit()
+        shard = self.shard_for(self.routing_hash(forward))
+        stream = bool(forward.pop("stream", False))
+        response = self.shard_call(shard, forward)
+        if response.get("ok"):
+            self.count_routed(shard)
+            if stream:
+                # After the reply is written, so the client learns the job
+                # id before the job's first event reaches it.
+                local_id = response.get("job", "")
+                session.after_reply(lambda: self._stream(session, shard, local_id))
+        return self._relay(shard, response)
 
     @staticmethod
-    def _forwardable(request: dict) -> dict:
-        return {key: value for key, value in request.items() if key != "id"}
-
-    def _namespace(self, shard: str, payload: dict) -> dict:
-        """Rewrite shard-local job ids in a response to ``shard:id`` form."""
-        if isinstance(payload.get("job"), str):
-            payload["job"] = f"{shard}:{payload['job']}"
-        events = payload.get("events")
+    def _relay(shard: str, response: dict) -> dict:
+        """A shard's response as the body of ours (job ids namespaced)."""
+        body = {key: value for key, value in response.items() if key not in ("id", "type")}
+        if isinstance(body.get("job"), str):
+            body["job"] = f"{shard}:{body['job']}"
+        events = body.get("events")
         if isinstance(events, list):  # status responses carry an int count here
             for event in events:
                 if isinstance(event, dict) and isinstance(event.get("job_id"), str):
                     event["job_id"] = f"{shard}:{event['job_id']}"
-        return payload
+        body.setdefault("ok", False)
+        body["shard"] = shard
+        return body
 
-    def _relay(self, shard: str, response: dict, request_id) -> bool:
-        """Forward a shard's response verbatim (ids namespaced, ours re-stamped)."""
-        payload = {
-            key: value for key, value in response.items() if key not in ("id", "type")
-        }
-        self._namespace(shard, payload)
-        payload.setdefault("ok", False)
-        payload["shard"] = shard
-        if request_id is not None:
-            payload["id"] = request_id
-        payload["type"] = "response"
-        self._write(payload)
-        return False
-
-    def _proxy(self, request: dict, request_id) -> bool:
-        """The generic job-scoped proxy: parse the namespace, forward, relay."""
-        shard, local = self._parse_job(request)
-        forward = self._forwardable(request)
-        forward["job"] = local
-        response = self.router.shard_call(shard, forward)
-        return self._relay(shard, response, request_id)
-
-    def _proxy_sliced(self, request: dict, *, finished) -> tuple[str, dict]:
-        """Proxy a blocking op (wait/events) in bounded slices.
+    def _sliced(self, shard: str, forward: dict, settled) -> dict:
+        """Proxy a blocking op in bounded slices.
 
         A proxied long poll must not park on one shard exchange for
         minutes: the slice bounds how long a dead replica can hold the op
-        before failover kicks in, and ``finished(response)`` says when the
+        before failover kicks in, and ``settled(response)`` says when the
         shard's answer is final.  The caller's own ``timeout`` (None =
-        forever) is honoured across slices.  Returns ``(shard, response)``
-        for the handler to relay.
+        forever) is honoured across slices.
         """
-        shard, local = self._parse_job(request)
-        timeout = request.get("timeout")
+        timeout = forward.get("timeout")
         deadline = None if timeout is None else time.monotonic() + float(timeout)
         while True:
             remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
@@ -420,186 +360,32 @@ class RouterSession(ServeSession):
                 if remaining is None
                 else min(LONG_POLL_SLICE_SECONDS, remaining)
             )
-            forward = self._forwardable(request)
-            forward["job"] = local
-            forward["timeout"] = slice_seconds
-            response = self.router.shard_call(
-                shard, forward, read_timeout=slice_seconds + 30.0
+            response = self.shard_call(
+                shard, {**forward, "timeout": slice_seconds}, read_timeout=slice_seconds + 30.0
             )
-            if not response.get("ok") or finished(response):
-                return shard, response
+            if not response.get("ok") or settled(response):
+                return response
             if remaining is not None and remaining <= slice_seconds:
-                return shard, response
+                return response
 
-    # -- handlers ------------------------------------------------------
-
-    def _handle_submit(self, request: dict, request_id) -> bool:
-        self._admit_job(request)
-        content_hash = self.router.routing_hash(request)
-        shard = self.router.shard_for(content_hash)
-        forward = self._forwardable(request)
-        stream = bool(forward.pop("stream", False))
-        response = self.router.shard_call(shard, forward)
-        if not response.get("ok"):
-            return self._relay(shard, response, request_id)
-        self.router.count_routed(shard)
-        local_id = response.get("job", "")
-        self._session_jobs.append(f"{shard}:{local_id}")
-        handled = self._relay(shard, response, request_id)
-        if stream:
-            # After the reply is written, so the client learns the job id
-            # before the job's first event reaches it.
-            self._start_stream(shard, local_id)
-        return handled
-
-    def _handle_status(self, request: dict, request_id) -> bool:
-        return self._proxy(request, request_id)
-
-    def _handle_cancel(self, request: dict, request_id) -> bool:
-        return self._proxy(request, request_id)
-
-    def _handle_events(self, request: dict, request_id) -> bool:
-        if not request.get("wait"):
-            return self._proxy(request, request_id)
-        since = int(request.get("since", 0))
-
-        def finished(response: dict) -> bool:
-            return bool(response.get("events")) or response.get("next", since) > since or (
-                response.get("status") in ("done", "failed", "cancelled")
-            )
-
-        shard, response = self._proxy_sliced(request, finished=finished)
-        return self._relay(shard, response, request_id)
-
-    def _handle_wait(self, request: dict, request_id) -> bool:
-        shard, response = self._proxy_sliced(
-            request, finished=lambda response: bool(response.get("finished"))
-        )
-        return self._relay(shard, response, request_id)
-
-    def _handle_result(self, request: dict, request_id) -> bool:
-        shard, local = self._parse_job(request)
-        if request.get("wait", True):
-            # Settle the job with sliced waits first, then fetch the result
-            # in one non-blocking op (the result payload itself can be big;
-            # no reason to re-ship it per slice).
-            wait_request = {"op": "wait", "job": request["job"]}
-            if "timeout" in request:
-                wait_request["timeout"] = request["timeout"]
-            _, probe = self._proxy_sliced(
-                wait_request, finished=lambda response: bool(response.get("finished"))
-            )
-            if not probe.get("ok"):
-                return self._relay(shard, probe, request_id)
-        forward = self._forwardable(request)
-        forward["job"] = local
-        forward["wait"] = False
-        forward.pop("timeout", None)
-        response = self.router.shard_call(shard, forward)
-        return self._relay(shard, response, request_id)
-
-    def _handle_jobs(self, request: dict, request_id) -> bool:
-        gathered = self.router.gather({"op": "jobs"})
-        jobs: list = []
-        shards: dict = {}
-        for shard_id in self.router.shard_ids:
-            response = gathered.get(shard_id)
-            if response is None or not response.get("ok"):
-                shards[shard_id] = "unreachable"
-                continue
-            shards[shard_id] = "ok"
-            for entry in response.get("jobs", []):
-                entry = dict(entry)
-                entry["job"] = f"{shard_id}:{entry.get('job', '')}"
-                entry["shard"] = shard_id
-                jobs.append(entry)
-        self._respond(request_id, op="jobs", jobs=jobs, shards=shards)
-        return False
-
-    def _stats_payload(self) -> dict:
-        gathered = self.router.gather({"op": "stats"})
-        shards = {
-            shard_id: (response or {}).get("stats")
-            for shard_id, response in gathered.items()
-        }
-        # Fleet-level view of the incremental-IR counters: the per-shard
-        # learned-core retention rates side by side (a shard whose rate
-        # collapses is rebuilding solver state it should be reusing), plus
-        # summed core/cut counters across reachable shards.
-        retention = {}
-        totals: dict = {}
-        for shard_id, stats in shards.items():
-            block = (stats or {}).get("incremental")
-            if not block:
-                continue
-            retention[shard_id] = block.get("core_retention_rate")
-            for counter, value in block.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    totals[counter] = totals.get(counter, 0) + value
-        totals.pop("core_retention_rate", None)
-        return {
-            "router": self.router.statistics_snapshot(),
-            "supervisor": dict(self.router.supervisor.statistics),
-            "fleet": self.router.supervisor.fleet_status(),
-            "shards": shards,
-            "incremental": {"core_retention_by_shard": retention, "totals": totals},
-        }
-
-    def _handle_stats(self, request: dict, request_id) -> bool:
-        self._respond(request_id, op="stats", stats=self._stats_payload())
-        return False
-
-    def _metrics_payload(self) -> dict:
-        return self.router.metrics_payload()
-
-    def _handle_metrics(self, request: dict, request_id) -> bool:
-        self._respond(request_id, op="metrics", metrics=self._metrics_payload())
-        return False
-
-    def _handle_shutdown(self, request: dict, request_id) -> bool:
-        # Ends this session only; fleet shutdown is the drain path's job
-        # (SIGTERM on the router propagates to every replica).
-        self._respond(request_id, op="shutdown")
-        return True
-
-    _HANDLERS = {
-        "submit": _handle_submit,
-        "status": _handle_status,
-        "events": _handle_events,
-        "cancel": _handle_cancel,
-        "wait": _handle_wait,
-        "result": _handle_result,
-        "jobs": _handle_jobs,
-        "stats": _handle_stats,
-        "metrics": _handle_metrics,
-        "shutdown": _handle_shutdown,
-    }
-
-    # -- event streaming -----------------------------------------------
-
-    def _stream_raw(self, payload: dict) -> None:
-        """Deliver one proxied stream line (overridden by the net session
-        to go through the bounded event pump)."""
-        self._write(payload)
-
-    def _start_stream(self, shard: str, local_id: str) -> None:
-        """Pump one job's events from its shard into this session.
+    def _stream(self, session: ServeSession, shard: str, local_id: str) -> None:
+        """Pump one job's events from its shard into ``session``.
 
         The shard's push stream belongs to the shard's own connection, so
         the router long-polls the ``events`` op instead (short slices, a
-        stop flag checked between slices) and pushes each event here with
-        the job id namespaced — the client sees exactly the stream a
-        direct connection would have shown.
+        stop flag checked between slices) and pushes each event into the
+        session's sink with the job id namespaced — the client sees exactly
+        the stream a direct connection would have shown.
         """
         stop = threading.Event()
-        self._streams.append(stop)
+        session.on_close(stop.set)
         namespaced = f"{shard}:{local_id}"
 
         def pump() -> None:
             since = 0
             while not stop.is_set():
                 try:
-                    response = self.router.shard_call(
+                    response = self.shard_call(
                         shard,
                         {
                             "op": "events",
@@ -620,9 +406,9 @@ class RouterSession(ServeSession):
                         event["job_id"] = namespaced
                     if stop.is_set():
                         return
-                    self._stream_raw({"type": "event", "job": namespaced, "event": event})
+                    session.sink({"type": "event", "job": namespaced, "event": event})
                 since = response.get("next", since + len(events))
-                if not events and response.get("status") in ("done", "failed", "cancelled"):
+                if not events and response.get("status") in TERMINAL_STATUSES:
                     return
 
         threading.Thread(
@@ -630,51 +416,15 @@ class RouterSession(ServeSession):
         ).start()
 
 
-class _RouterNetSession(_ServerStatsMixin, RouterSession):
-    """One TCP connection's router session (mirrors ``_NetSession``)."""
-
-    def __init__(self, server: "RouterServer", writer: _ConnectionWriter, pump: _EventPump):
-        super().__init__(server.router)
-        self._server = server
-        self._writer = writer
-        self._pump = pump
-
-    def _write(self, payload: dict) -> None:
-        self._writer.write_line(payload, kind="response")
-
-    def _stream_raw(self, payload: dict) -> None:
-        self._pump.push(payload)
-
-
-class _RouterCaptureSession(_ServerStatsMixin, _CaptureMixin, RouterSession):
-    """A response-capturing router session (one HTTP request's op)."""
-
-    def __init__(self, server: "RouterServer"):
-        super().__init__(server.router)
-        self._server = server
-        self.responses: list = []
-
-
 class RouterServer(NetworkServer):
     """The router's network front end: the ``NetworkServer`` machinery
     (dual-protocol listener, connection shedding, drain choreography) with
-    every session proxying through a :class:`JobRouter` instead of serving
+    every session routing through a :class:`JobRouter` instead of serving
     a local :class:`VerificationService`."""
 
     def __init__(self, router: JobRouter, host: str = "127.0.0.1", port: int = 0, *, limits=None):
         super().__init__(None, host, port, limits=limits, owns_service=True)
         self.router = router
-
-    # -- session factories ---------------------------------------------
-
-    def _make_session(self, writer: _ConnectionWriter, pump: _EventPump) -> ServeSession:
-        return _RouterNetSession(self, writer, pump)
-
-    def _make_capture(self):
-        return _RouterCaptureSession(self)
-
-    def metrics_payload(self) -> dict:
-        return self.router.metrics_payload()
 
     # -- admission and health ------------------------------------------
 
@@ -734,16 +484,3 @@ class RouterServer(NetworkServer):
         self.router.close()
         return graceful
 
-
-def announce(server: RouterServer) -> str:
-    """The router's ``listening`` line (same shape as serve's, plus shards)."""
-    host, port = server.address
-    return json.dumps(
-        {
-            "type": "listening",
-            "host": host,
-            "port": port,
-            "protocols": ["jsonl", "http"],
-            "shards": len(server.router.shard_ids),
-        }
-    )

@@ -1,14 +1,14 @@
-"""``repro-verify serve``: a stdin/stdout JSON-lines verification daemon.
+"""The serve protocol: one op table, one dispatcher, one session class.
 
-The serve session speaks a line protocol: every request is one JSON object
-on stdin, every output line is one JSON object on stdout.  Output lines are
-tagged ``"type": "response"`` (the answer to a request, echoing its optional
-``"id"``) or ``"type": "event"`` (a streamed progress event of a job
-submitted with ``"stream": true``); the two may interleave, but each line is
-self-contained, so clients dispatch on the tag.
+Every surface of the serving tier answers the same JSON ops:
+``repro-verify serve`` over stdin/stdout, the TCP line protocol and the HTTP
+adapter of :mod:`repro.service.net`, and the sharded router of
+:mod:`repro.service.router`.  The ops are declared once, in :data:`OPS`;
+:meth:`ServeSession.dispatch` answers one request from that table, so a
+client cannot tell which surface (or a router from a daemon) served it.
 
-Requests
---------
+Ops
+---
 
 ``{"op": "submit", "spec": "majority", "properties": ["ws3"],
 "priority": 0, "stream": true}``
@@ -20,18 +20,20 @@ Requests
 
 ``{"op": "submit", "specs": ["majority", "flock-of-birds:6"]}``
     Submit a whole batch as one job (the ``check_many`` semantics: dedup,
-    result cache, across-protocol fan-out).
+    result cache, across-protocol fan-out).  ``specs`` must be a non-empty
+    list.
 
 ``{"op": "status", "job": "job-1"}``
     Non-blocking status plus the number of events recorded so far.
 
 ``{"op": "events", "job": "job-1", "since": 0}``
     Drain the job's event log from sequence number ``since`` (polling
-    alternative to ``stream``); responds with the events and the next
-    sequence number.  Add ``"wait": true`` (and an optional ``"timeout"``
-    in seconds) to long-poll: the response is deferred until at least one
-    event past ``since`` exists or the job finishes — this is what makes
-    client-side event streams resumable without busy-polling.
+    alternative to ``stream``; a negative ``since`` is refused); responds
+    with the events and the next sequence number.  Add ``"wait": true``
+    (and an optional ``"timeout"`` in seconds) to long-poll: the response
+    is deferred until at least one event past ``since`` exists or the job
+    finishes — this is what makes client-side event streams resumable
+    without busy-polling.
 
 ``{"op": "cancel", "job": "job-1"}``
     Request cooperative cancellation.
@@ -46,35 +48,49 @@ Requests
     an error response instead.
 
 ``{"op": "jobs"}`` / ``{"op": "shutdown"}``
-    List every job of the session; end the session.
+    List every job; end the session.
 
 ``{"op": "stats"}``
     A snapshot of the serving tier's counters: service statistics (jobs
     submitted/completed/failed/cancelled/recovered), the pending-queue
     depth, result-cache traffic, journal statistics, and — over the
     network tier — the per-server connection/frame/shedding counters
-    (mirrored by ``GET /statsz`` on the HTTP adapter).  This is what the
-    sharded router scatter-gathers to aggregate fleet health.
+    (mirrored by ``GET /statsz`` on the HTTP adapter).
 
 ``{"op": "metrics"}``
     The process-global observability-registry snapshot (counters, gauges,
     latency histograms) in mergeable form — the machine-readable twin of
-    ``GET /metricsz``, which renders it as Prometheus text.  The router
-    scatter-gathers this op and sums the per-shard snapshots with
-    ``shard`` labels.
+    ``GET /metricsz``, which renders it as Prometheus text.
+
+Responses and events
+--------------------
+
+Every request gets one ``{"type": "response", "ok": ..., "op": ...}``
+object echoing its optional ``"id"``; failures carry ``"error"`` instead of
+``"op"``, and shed requests add ``"overloaded": true``, ``"retryable":
+true`` and a ``"retry_after"`` hint.  Bad input of any shape — malformed
+JSON, unknown ops, wrongly-typed fields — yields an error response; the
+daemon never dies on it.  Streamed events are ``{"type": "event", "job":
+..., "event": ...}`` lines that may interleave with responses.
+
+Routing classes
+---------------
+
+Each table entry names how the router serves it: ``owner`` ops go to the
+shard that owns the job (by the namespaced ``job`` id, or by the content
+hash of the submitted protocol), ``gather`` ops are scattered to every
+shard and merged by the entry's ``merge``, and ``local`` ops run on the
+router itself.
+
+Session end
+-----------
 
 EOF on stdin ends the session too; like ``shutdown``, it cancels every job
 that has not finished (nobody is left to read the results) — *unless* the
 service runs on a durable journal (``repro-verify serve --journal-dir``), in
 which case unfinished jobs are deliberately left queued: they are already
 journalled, and the next daemon started on the same journal re-enqueues and
-finishes them (see :mod:`repro.service.journal`).  Malformed lines and
-unknown ops yield ``{"type": "response", "ok": false, "error": ...}`` — the
-daemon never dies on bad input.
-
-The same line protocol is served over TCP (and a sibling HTTP adapter) by
-:mod:`repro.service.net`, which runs one non-owning :class:`ServeSession`
-per connection over a shared service.
+finishes them (see :mod:`repro.service.journal`).
 """
 
 from __future__ import annotations
@@ -83,23 +99,30 @@ import json
 import logging
 import threading
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 
+from repro.api.jobs import TERMINAL_STATUSES
 from repro.engine.monitor import JobCancelledError
 from repro.io.loading import ProtocolLoadError, resolve_protocol_spec
 from repro.io.serialization import protocol_from_dict
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, label_snapshot, merge_snapshots
 from repro.service.jobs import JobHandle, JobNotFinished
-from repro.service.service import VerificationService
 
 logger = logging.getLogger(__name__)
 
-#: Per-op request service time, across every transport that feeds
-#: :meth:`ServeSession.handle_line` (stdio pipe, TCP line protocol, the
-#: HTTP adapter).  Blocking ops (``wait``, long-polling ``events``) include
-#: their wait time — this measures what the *client* experienced.
+#: Per-op request service time, across every transport (stdio pipe, TCP
+#: line protocol, the HTTP adapter, the router).  Blocking ops (``wait``,
+#: long-polling ``events``) include their wait time — this measures what
+#: the *client* experienced.  Ops outside the table count as ``unknown``.
 _REQUEST_SECONDS = REGISTRY.histogram(
     "repro_net_request_seconds",
     "Request service time per serve-protocol op",
+)
+#: Error responses per op (same labels as ``repro_net_request_seconds``).
+_REQUEST_ERRORS = REGISTRY.counter(
+    "repro_net_request_errors_total",
+    "Error responses per serve-protocol op",
 )
 
 
@@ -110,8 +133,8 @@ class ServeError(ValueError):
 class OverloadedError(ServeError):
     """The server is at capacity; the request was shed and may be retried.
 
-    Raised by admission control (see :meth:`ServeSession._admit_job` and the
-    network tier in :mod:`repro.service.net`); rendered as an error response
+    Raised by admission control (see :mod:`repro.service.net`) and by the
+    router when a shard stays unreachable; rendered as an error response
     carrying ``"overloaded": true``, ``"retryable": true`` and a
     ``"retry_after"`` hint, so clients back off instead of hammering.
     """
@@ -139,160 +162,510 @@ def batch_to_payload(batch) -> dict:
     }
 
 
+def submitted_protocols(request: dict) -> list:
+    """The protocols a submit request names, resolved.
+
+    ``specs`` (a batch) wins over an inline ``protocol``, which wins over
+    one ``spec``.  The daemon submits the result; the router hashes it to
+    pick the owning shard.
+    """
+    if "specs" in request:
+        specs = request["specs"]
+        if not isinstance(specs, list) or not specs:
+            raise ServeError("submit 'specs' must be a non-empty list")
+        return [resolve_protocol_spec(spec) for spec in specs]
+    if "protocol" in request:
+        try:
+            return [protocol_from_dict(request["protocol"])]
+        except Exception as error:
+            raise ServeError(f"bad inline protocol: {error}") from error
+    spec = request.get("spec")
+    if not spec:
+        raise ServeError("submit needs a 'spec', 'specs' or an inline 'protocol'")
+    return [resolve_protocol_spec(spec)]
+
+
+def _failure(error: Exception) -> dict:
+    response = {"type": "response", "ok": False, "error": str(error)}
+    if isinstance(error, OverloadedError):
+        # Load shedding is explicit and retryable: the client learns it was
+        # turned away (not that its request was malformed) and when to
+        # come back.
+        response.update(overloaded=True, retryable=True, retry_after=error.retry_after)
+    return response
+
+
+# ----------------------------------------------------------------------
+# Local handlers: serve one op against the session's service and return
+# the response body (the dispatcher adds type, ok, id and op).
+# ----------------------------------------------------------------------
+
+
+def _job(session: "ServeSession", request: dict) -> JobHandle:
+    try:
+        return session.service.job(request["job"])
+    except KeyError:
+        raise ServeError(f"unknown job {request['job']!r}") from None
+
+
+def _timeout(request: dict) -> float | None:
+    timeout = request.get("timeout")
+    return None if timeout is None else float(timeout)
+
+
+def _since(request: dict) -> int:
+    since = int(request.get("since", 0))
+    if since < 0:
+        # A negative cursor would slice from the end of the log and hand
+        # back a "next" that replays all of it.
+        raise ServeError(f"'since' must be a sequence number >= 0, not {since}")
+    return since
+
+
+def _submit(session: "ServeSession", request: dict) -> dict:
+    session.admit()
+    properties = request.get("properties")
+    priority = int(request.get("priority", 0))
+    subscriber = session.stream_event if request.get("stream") else None
+    protocols = submitted_protocols(request)
+    if "specs" in request:
+        handle = session.service.submit_batch(
+            protocols, properties=properties, priority=priority, subscriber=subscriber
+        )
+    else:
+        handle = session.service.submit(
+            protocols[0], properties=properties, priority=priority, subscriber=subscriber
+        )
+    session.submitted.append(handle.job_id)
+    return {"job": handle.job_id, "kind": handle.kind}
+
+
+def _status(session: "ServeSession", request: dict) -> dict:
+    handle = _job(session, request)
+    return {
+        "job": handle.job_id,
+        "kind": handle.kind,
+        "status": handle.status().value,
+        "events": len(handle.events_so_far()),
+    }
+
+
+def _events(session: "ServeSession", request: dict) -> dict:
+    handle = _job(session, request)
+    since = _since(request)
+    if request.get("wait"):
+        # Long poll: block until something past `since` exists (or the job
+        # finished, or the timeout ran out) instead of making the client
+        # busy-poll an unchanged log.
+        handle.wait_for_events(since, timeout=_timeout(request))
+    events = [event.to_dict() for event in handle.events_so_far()[since:]]
+    return {
+        "job": handle.job_id,
+        "events": events,
+        "next": since + len(events),
+        "status": handle.status().value,
+    }
+
+
+def _cancel(session: "ServeSession", request: dict) -> dict:
+    handle = _job(session, request)
+    return {"job": handle.job_id, "cancelled": handle.cancel()}
+
+
+def _wait(session: "ServeSession", request: dict) -> dict:
+    handle = _job(session, request)
+    finished = handle.wait(timeout=_timeout(request))
+    return {"job": handle.job_id, "finished": finished, "status": handle.status().value}
+
+
+def _result(session: "ServeSession", request: dict) -> dict:
+    handle = _job(session, request)
+    if request.get("wait", True):
+        handle.wait(timeout=_timeout(request))
+    try:
+        result = handle.result()
+    except JobNotFinished:
+        raise ServeError(f"job {handle.job_id!r} is still {handle.status().value}") from None
+    except JobCancelledError:
+        raise ServeError(f"job {handle.job_id!r} was cancelled") from None
+    except Exception as error:
+        raise ServeError(f"job {handle.job_id!r} failed: {error}") from error
+    body = {"job": handle.job_id, "status": handle.status().value}
+    if handle.kind == "batch":
+        body["batch"] = batch_to_payload(result)
+    else:
+        body["report"] = result.to_dict()
+    return body
+
+
+def _jobs(session: "ServeSession", request: dict) -> dict:
+    return {
+        "jobs": [
+            {
+                "job": handle.job_id,
+                "kind": handle.kind,
+                "status": handle.status().value,
+                "priority": handle.priority,
+            }
+            for handle in session.service.jobs()
+        ]
+    }
+
+
+def _stats(session: "ServeSession", request: dict) -> dict:
+    from repro.constraints.incremental import incremental_statistics
+
+    service = session.service
+    stats = {
+        "service": dict(service.statistics),
+        "pending_jobs": service.pending_count(),
+        "cache": service.cache_statistics(),
+        "journal": dict(service.journal.statistics) if service.journal is not None else None,
+        # Process-wide incremental counters (cut promotion, core
+        # retention) — the router's merge aggregates the per-shard
+        # retention rates from this block.
+        "incremental": incremental_statistics(),
+    }
+    if service.engine is not None:
+        stats["engine"] = dict(getattr(service.engine, "statistics", {}) or {})
+    return {"stats": session.with_server_stats(stats)}
+
+
+def _metrics(session: "ServeSession", request: dict) -> dict:
+    return {"metrics": REGISTRY.snapshot()}
+
+
+def _shutdown(session: "ServeSession", request: dict) -> dict:
+    # Cancel whatever is still pending: a shutdown must not hang on a long
+    # queue (running jobs stop at their next checkpoint).  With a journal
+    # the queue is durable instead — close() leaves it for the next daemon
+    # rather than cancelling.  Network and router sessions only end their
+    # own connection; daemon shutdown is the drain path's job.
+    if session.owns_service and session.service.journal is None:
+        session.cancel_unfinished()
+    session.ended = True
+    return {}
+
+
+# ----------------------------------------------------------------------
+# Router behaviour of the table entries: long-poll probes and merges.
+# ----------------------------------------------------------------------
+
+
+def _finished(response: dict) -> bool:
+    return bool(response.get("finished"))
+
+
+def _wait_poll(request: dict):
+    return request, _finished
+
+
+def _events_poll(request: dict):
+    if not request.get("wait"):
+        return None
+    since = int(request.get("since", 0))
+
+    def settled(response: dict) -> bool:
+        return (
+            bool(response.get("events"))
+            or response.get("next", since) > since
+            or response.get("status") in TERMINAL_STATUSES
+        )
+
+    return request, settled
+
+
+def _result_poll(request: dict):
+    if not request.get("wait", True):
+        return None
+    # Settle the job with sliced waits, then fetch the result once (the
+    # payload itself can be big; no reason to re-ship it per slice).
+    probe = {"op": "wait", "job": request["job"]}
+    if "timeout" in request:
+        probe["timeout"] = request["timeout"]
+    return probe, _finished
+
+
+def _merge_jobs(session: "ServeSession", gathered: dict) -> dict:
+    jobs: list = []
+    shards: dict = {}
+    for shard_id in session.router.shard_ids:
+        response = gathered.get(shard_id)
+        if response is None or not response.get("ok"):
+            shards[shard_id] = "unreachable"
+            continue
+        shards[shard_id] = "ok"
+        for entry in response.get("jobs", []):
+            entry = dict(entry)
+            entry["job"] = f"{shard_id}:{entry.get('job', '')}"
+            entry["shard"] = shard_id
+            jobs.append(entry)
+    return {"jobs": jobs, "shards": shards}
+
+
+def _merge_stats(session: "ServeSession", gathered: dict) -> dict:
+    router = session.router
+    shards = {shard_id: (response or {}).get("stats") for shard_id, response in gathered.items()}
+    # Fleet-level view of the incremental-IR counters: the per-shard
+    # learned-core retention rates side by side (a shard whose rate
+    # collapses is rebuilding solver state it should be reusing), plus
+    # summed core/cut counters across reachable shards.
+    retention = {}
+    totals: dict = {}
+    for shard_id, stats in shards.items():
+        block = (stats or {}).get("incremental")
+        if not block:
+            continue
+        retention[shard_id] = block.get("core_retention_rate")
+        for counter, value in block.items():
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                totals[counter] = totals.get(counter, 0) + value
+    totals.pop("core_retention_rate", None)
+    stats = {
+        "router": router.statistics_snapshot(),
+        "supervisor": dict(router.supervisor.statistics),
+        "fleet": router.supervisor.fleet_status(),
+        "shards": shards,
+        "incremental": {"core_retention_by_shard": retention, "totals": totals},
+    }
+    return {"stats": session.with_server_stats(stats)}
+
+
+def _merge_metrics(session: "ServeSession", gathered: dict) -> dict:
+    """Every reachable shard's registry snapshot stamped with a ``shard``
+    label, the router's own with ``shard="router"``, merged into one — every
+    series says which process it came from, and the sum renders as one
+    valid Prometheus exposition.  Unreachable shards are simply absent."""
+    snapshots = []
+    for shard_id in session.router.shard_ids:
+        response = gathered.get(shard_id)
+        if response and response.get("ok") and isinstance(response.get("metrics"), dict):
+            snapshots.append(label_snapshot(response["metrics"], shard=shard_id))
+    snapshots.append(label_snapshot(REGISTRY.snapshot(), shard="router"))
+    return {"metrics": merge_snapshots(*snapshots)}
+
+
+@dataclass(frozen=True)
+class Op:
+    """One entry of the op table.
+
+    ``handler(session, request)`` serves the op against a local service
+    and returns the response body.  ``needs_job`` ops are refused without a
+    ``job`` id before any handler runs.  ``route`` is the op's routing
+    class on the sharded router: ``"owner"`` forwards it to the shard that
+    owns the job (by namespaced ``job`` id, or by content hash for an op
+    without one), ``"gather"`` scatters it to every shard and combines the
+    answers with ``merge(session, {shard: response or None})``, and
+    ``"local"`` runs ``handler`` on the router itself.  ``long_poll(request)``
+    says how the router serves a blocking owner op: ``None`` when this
+    request does not block, else ``(probe, settled)`` — the router repeats
+    ``probe`` in bounded slices until ``settled(response)``, and when the
+    probe is a different op it then runs the request without blocking.
+    """
+
+    name: str
+    handler: Callable[["ServeSession", dict], dict]
+    route: str = "owner"
+    needs_job: bool = True
+    merge: Callable[["ServeSession", dict], dict] | None = None
+    long_poll: Callable[[dict], tuple | None] | None = None
+
+
+#: The serve protocol: every op, once.
+OPS = {
+    op.name: op
+    for op in (
+        Op("submit", _submit, needs_job=False),
+        Op("status", _status),
+        Op("events", _events, long_poll=_events_poll),
+        Op("cancel", _cancel),
+        Op("wait", _wait, long_poll=_wait_poll),
+        Op("result", _result, long_poll=_result_poll),
+        Op("jobs", _jobs, route="gather", needs_job=False, merge=_merge_jobs),
+        Op("stats", _stats, route="gather", needs_job=False, merge=_merge_stats),
+        Op("metrics", _metrics, route="gather", needs_job=False, merge=_merge_metrics),
+        Op("shutdown", _shutdown, route="local", needs_job=False),
+    )
+}
+
+
 class ServeSession:
-    """One JSON-lines session over a verification service.
+    """One client's session: answers requests from :data:`OPS`.
 
-    The request loop runs on the calling thread; streamed events arrive from
-    dispatcher threads, so every output line goes through one lock and is
-    flushed immediately (clients block on complete lines).
+    ``write(payload)`` sends a response and ``sink(payload)`` a streamed
+    event line.  The stdio daemon passes neither: both go to
+    ``output_stream`` under one lock, flushed per line (streamed events
+    arrive from dispatcher threads, and clients block on complete lines).
+    A network connection passes its socket writer and its bounded event
+    pump; the HTTP adapter only calls :meth:`dispatch` and reads the dict.
 
-    ``owns_service=True`` (the stdio daemon) means the session's end is the
-    daemon's end: the service is closed and — without a journal — every
-    unfinished job is cancelled.  With ``owns_service=False`` (one network
-    connection of a shared daemon, see :mod:`repro.service.net`) the service
-    keeps running; only the jobs *this* session submitted are cancelled when
-    the connection goes away (journalled services keep even those: they are
-    durable and pollable from other connections).
+    Without a ``server`` (the stdio daemon) the session owns its service:
+    its end closes the service and — without a journal — cancels every
+    unfinished job.  With one (a connection of a shared daemon, see
+    :mod:`repro.service.net`) the service keeps running; only the jobs
+    *this* session submitted are cancelled when it ends (journalled
+    services keep even those: they are durable and pollable from other
+    connections).  A server built on a router makes the session route ops
+    by their routing class instead of serving them locally.
     """
 
     def __init__(
         self,
-        service: VerificationService,
-        input_stream,
-        output_stream,
+        service,
+        input_stream=None,
+        output_stream=None,
         *,
-        owns_service: bool = True,
+        server=None,
+        write: Callable[[dict], None] | None = None,
+        sink: Callable[[dict], None] | None = None,
     ):
         self.service = service
-        self.owns_service = owns_service
+        self.server = server
+        self.router = server.router if server is not None else None
+        self.owns_service = server is None
         self._input = input_stream
         self._output = output_stream
         self._output_lock = threading.Lock()
-        self._session_jobs: list[str] = []
-        self._session_closed = False
+        self.write = write or self._write_output
+        self.sink = sink or self.write
+        self.submitted: list[str] = []
+        self.ended = False
+        self._after_reply: list[Callable[[], None]] = []
+        self._on_close: list[Callable[[], None]] = []
+        self._closed = False
 
-    # ------------------------------------------------------------------
-    # Output framing
-    # ------------------------------------------------------------------
-
-    def _write(self, payload: dict) -> None:
+    def _write_output(self, payload: dict) -> None:
         line = json.dumps(payload, sort_keys=True)
         with self._output_lock:
             self._output.write(line + "\n")
             self._output.flush()
 
-    def _respond(self, request_id, **payload) -> None:
-        response = {"type": "response", "ok": True, **payload}
-        if request_id is not None:
-            response["id"] = request_id
-        self._write(response)
+    def stream_event(self, event) -> None:
+        self.sink({"type": "event", "job": event.job_id, "event": event.to_dict()})
 
-    def _fail(self, request_id, error: str, **extra) -> None:
-        response = {"type": "response", "ok": False, "error": error, **extra}
-        if request_id is not None:
-            response["id"] = request_id
-        self._write(response)
+    def after_reply(self, action: Callable[[], None]) -> None:
+        """Run ``action`` once the current request's response is written."""
+        self._after_reply.append(action)
 
-    def _stream_event(self, event) -> None:
-        self._write({"type": "event", "job": event.job_id, "event": event.to_dict()})
+    def on_close(self, action: Callable[[], None]) -> None:
+        self._on_close.append(action)
+
+    def admit(self) -> None:
+        """The server's admission control (a pipe has exactly one client)."""
+        if self.server is not None:
+            self.server.check_job_admission()
+
+    def with_server_stats(self, stats: dict) -> dict:
+        if self.server is not None:
+            stats["server"] = self.server.statsz_payload()
+        return stats
 
     # ------------------------------------------------------------------
-    # The request loop
+    # The dispatcher
+    # ------------------------------------------------------------------
+
+    def dispatch(self, request) -> dict:
+        """Answer one parsed request; never raises on bad input."""
+        started = time.perf_counter()
+        op = None
+        request_id = request.get("id") if isinstance(request, dict) else None
+        try:
+            if not isinstance(request, dict):
+                raise ServeError("each request must be a JSON object")
+            op = OPS.get(request.get("op"))
+            if op is None:
+                known = ", ".join(sorted(OPS))
+                raise ServeError(f"unknown op {request.get('op')!r}; known ops: {known}")
+            if op.needs_job and not request.get("job"):
+                raise ServeError("this op needs a 'job' id")
+            if self.router is None or op.route == "local":
+                body = op.handler(self, request)
+            else:
+                body = self.router.route(self, op, request)
+            response = {"type": "response", "ok": True, **body}
+            if response["ok"]:
+                response.setdefault("op", op.name)
+        # TypeError covers wrongly-typed request fields (e.g. a number
+        # where a property list belongs): bad input of any shape yields an
+        # error response, never a dead daemon.
+        except (ServeError, ProtocolLoadError, ValueError, TypeError) as error:
+            response = _failure(error)
+        label = op.name if op is not None else "unknown"
+        _REQUEST_SECONDS.observe(time.perf_counter() - started, op=label)
+        if not response["ok"]:
+            _REQUEST_ERRORS.inc(op=label)
+        if request_id is not None:
+            response["id"] = request_id
+        return response
+
+    # ------------------------------------------------------------------
+    # Line framing (stdio and TCP)
     # ------------------------------------------------------------------
 
     def run(self) -> int:
         """Serve until EOF or a ``shutdown`` request; returns an exit code."""
         try:
             for line in self._input:
-                if self.handle_line(line):
+                if self.serve_line(line):
                     break
         finally:
-            self.close_session()
+            self.close()
         return 0
 
-    def handle_line(self, line: str) -> bool:
-        """Serve one raw request line; True when the session should end.
-
-        This is the transport-agnostic core of the session: the stdio loop
-        in :meth:`run` and each network connection of
-        :class:`~repro.service.net.NetworkServer` both feed it complete
-        lines.  It never raises on bad input — every failure becomes an
-        error response.
-        """
+    def serve_line(self, line: str) -> bool:
+        """Answer one raw request line; True when the session should end."""
         line = line.strip()
         if not line:
             return False
-        request_id = None
         try:
             request = json.loads(line)
-            if not isinstance(request, dict):
-                raise ServeError("each request must be a JSON object")
-            request_id = request.get("id")
-            op = request.get("op")
-            handler = self._HANDLERS.get(op)
-            if handler is None:
-                known = ", ".join(sorted(self._HANDLERS))
-                raise ServeError(f"unknown op {op!r}; known ops: {known}")
-            started = time.perf_counter()
-            try:
-                return bool(handler(self, request, request_id))
-            finally:
-                _REQUEST_SECONDS.observe(time.perf_counter() - started, op=str(op))
-        except OverloadedError as error:
-            # Load shedding is explicit and retryable: the client learns it
-            # was turned away (not that its request was malformed) and when
-            # to come back.
-            self._fail(
-                request_id,
-                str(error),
-                overloaded=True,
-                retryable=True,
-                retry_after=error.retry_after,
-            )
-        # TypeError covers wrongly-typed request fields (e.g. a
-        # number where a property list belongs): bad input of any
-        # shape yields an error response, never a dead daemon.
-        except (
-            ServeError,
-            ProtocolLoadError,
-            json.JSONDecodeError,
-            ValueError,
-            TypeError,
-        ) as error:
-            self._fail(request_id, str(error))
-        return False
+        except ValueError as error:
+            _REQUEST_ERRORS.inc(op="unknown")
+            self.write(_failure(error))
+            return False
+        self.write(self.dispatch(request))
+        actions, self._after_reply = self._after_reply, []
+        for action in actions:
+            action()
+        return self.ended
 
-    def close_session(self) -> None:
+    def close(self) -> None:
         """End the session exactly once (idempotent).
 
         Owning sessions close the service; shared-service sessions only
-        withdraw their own jobs.  Either way a journalled backlog survives —
-        durability beats cancellation.
+        withdraw their own jobs; router sessions stop their event pumps
+        and leave every job on its durable shard.  A journalled backlog
+        always survives — durability beats cancellation.
         """
-        if self._session_closed:
+        if self._closed:
             return
-        self._session_closed = True
+        self._closed = True
+        for action in self._on_close:
+            action()
+        service = self.service
+        if service is None:
+            return
         if not self.owns_service:
             # One connection of a shared daemon went away.  Without a
             # journal its unread jobs are garbage (nobody can fetch the
             # results; other sessions never learned the ids) — cancel them.
             # Other sessions' jobs are untouched.
-            if self.service.journal is None:
-                for job_id in self._session_jobs:
+            if service.journal is None:
+                for job_id in self.submitted:
                     try:
-                        handle = self.service.job(job_id)
+                        handle = service.job(job_id)
                     except KeyError:
                         continue
                     if not handle.status().finished:
                         handle.cancel()
             return
-        if self.service.journal is not None:
+        if service.journal is not None:
             # Durable mode: the backlog is journalled, so ending the
             # session must not throw it away — leave unfinished jobs
             # queued (close without draining) and let the next daemon on
             # this journal resume them.
-            resumable = self.service.pending_count()
-            self.service.close(drain=False)
+            resumable = service.pending_count()
+            service.close(drain=False)
             if resumable:
                 logger.info(
                     "serve session ended with %d job(s) left journalled and resumable",
@@ -303,215 +676,10 @@ class ServeSession:
             # client), nobody is reading results any more: cancel
             # whatever has not started rather than verifying a dead
             # client's backlog.
-            self._cancel_pending()
-            self.service.close()
+            self.cancel_unfinished()
+            service.close()
 
-    def _cancel_pending(self) -> None:
+    def cancel_unfinished(self) -> None:
         for handle in self.service.jobs():
             if not handle.status().finished:
                 handle.cancel()
-
-    # ------------------------------------------------------------------
-    # Handlers (returning True ends the session)
-    # ------------------------------------------------------------------
-
-    def _admit_job(self, request: dict) -> None:
-        """Admission-control hook, called before a submit touches the service.
-
-        The base session admits everything (a pipe has exactly one client);
-        network sessions raise :class:`OverloadedError` here when the job
-        queue is at capacity, shedding load instead of growing without
-        bound.
-        """
-
-    def _handle_submit(self, request: dict, request_id) -> bool:
-        self._admit_job(request)
-        properties = request.get("properties")
-        priority = int(request.get("priority", 0))
-        subscriber = self._stream_event if request.get("stream") else None
-        if "specs" in request:
-            protocols = [resolve_protocol_spec(spec) for spec in request["specs"]]
-            handle = self.service.submit_batch(
-                protocols, properties=properties, priority=priority, subscriber=subscriber
-            )
-        else:
-            handle = self.service.submit(
-                self._load_protocol(request),
-                properties=properties,
-                priority=priority,
-                subscriber=subscriber,
-            )
-        self._session_jobs.append(handle.job_id)
-        self._respond(request_id, op="submit", job=handle.job_id, kind=handle.kind)
-        return False
-
-    def _load_protocol(self, request: dict):
-        if "protocol" in request:
-            try:
-                return protocol_from_dict(request["protocol"])
-            except Exception as error:
-                raise ServeError(f"bad inline protocol: {error}") from error
-        spec = request.get("spec")
-        if not spec:
-            raise ServeError("submit needs a 'spec', 'specs' or an inline 'protocol'")
-        return resolve_protocol_spec(spec)
-
-    def _handle(self, request: dict) -> JobHandle:
-        job_id = request.get("job")
-        if not job_id:
-            raise ServeError("this op needs a 'job' id")
-        try:
-            return self.service.job(job_id)
-        except KeyError:
-            raise ServeError(f"unknown job {job_id!r}") from None
-
-    def _handle_status(self, request: dict, request_id) -> bool:
-        handle = self._handle(request)
-        self._respond(
-            request_id,
-            op="status",
-            job=handle.job_id,
-            kind=handle.kind,
-            status=handle.status().value,
-            events=len(handle.events_so_far()),
-        )
-        return False
-
-    def _handle_events(self, request: dict, request_id) -> bool:
-        handle = self._handle(request)
-        since = int(request.get("since", 0))
-        if request.get("wait"):
-            # Long poll: block until something past `since` exists (or the
-            # job finished, or the timeout ran out) instead of making the
-            # client busy-poll an unchanged log.
-            timeout = request.get("timeout")
-            handle.wait_for_events(since, timeout=None if timeout is None else float(timeout))
-        events = [event.to_dict() for event in handle.events_so_far()[since:]]
-        self._respond(
-            request_id,
-            op="events",
-            job=handle.job_id,
-            events=events,
-            next=since + len(events),
-            status=handle.status().value,
-        )
-        return False
-
-    def _handle_cancel(self, request: dict, request_id) -> bool:
-        handle = self._handle(request)
-        cancelled = handle.cancel()
-        self._respond(request_id, op="cancel", job=handle.job_id, cancelled=cancelled)
-        return False
-
-    def _handle_wait(self, request: dict, request_id) -> bool:
-        handle = self._handle(request)
-        timeout = request.get("timeout")
-        finished = handle.wait(timeout=None if timeout is None else float(timeout))
-        self._respond(
-            request_id, op="wait", job=handle.job_id, finished=finished, status=handle.status().value
-        )
-        return False
-
-    def _handle_result(self, request: dict, request_id) -> bool:
-        handle = self._handle(request)
-        if request.get("wait", True):
-            timeout = request.get("timeout")
-            handle.wait(timeout=None if timeout is None else float(timeout))
-        try:
-            result = handle.result()
-        except JobNotFinished:
-            self._fail(request_id, f"job {handle.job_id!r} is still {handle.status().value}")
-            return False
-        except JobCancelledError:
-            self._fail(request_id, f"job {handle.job_id!r} was cancelled")
-            return False
-        except Exception as error:
-            self._fail(request_id, f"job {handle.job_id!r} failed: {error}")
-            return False
-        payload = {"op": "result", "job": handle.job_id, "status": handle.status().value}
-        if handle.kind == "batch":
-            payload["batch"] = batch_to_payload(result)
-        else:
-            payload["report"] = result.to_dict()
-        self._respond(request_id, **payload)
-        return False
-
-    def _handle_jobs(self, request: dict, request_id) -> bool:
-        self._respond(
-            request_id,
-            op="jobs",
-            jobs=[
-                {
-                    "job": handle.job_id,
-                    "kind": handle.kind,
-                    "status": handle.status().value,
-                    "priority": handle.priority,
-                }
-                for handle in self.service.jobs()
-            ],
-        )
-        return False
-
-    def _stats_payload(self) -> dict:
-        """The serving tier's counters; network sessions add server stats."""
-        from repro.constraints.incremental import incremental_statistics
-
-        service = self.service
-        payload = {
-            "service": dict(service.statistics),
-            "pending_jobs": service.pending_count(),
-            "cache": service.cache_statistics(),
-            "journal": dict(service.journal.statistics) if service.journal is not None else None,
-            # Process-wide incremental counters (cut promotion, core
-            # retention) — the router's scatter-gather aggregates the
-            # per-shard retention rates from this block.
-            "incremental": incremental_statistics(),
-        }
-        engine = service.engine
-        if engine is not None:
-            payload["engine"] = dict(getattr(engine, "statistics", {}) or {})
-        return payload
-
-    def _handle_stats(self, request: dict, request_id) -> bool:
-        self._respond(request_id, op="stats", stats=self._stats_payload())
-        return False
-
-    def _metrics_payload(self) -> dict:
-        """The process metrics-registry snapshot (mergeable form).
-
-        The router session overrides this with the fleet aggregation:
-        per-shard snapshots scatter-gathered over this very op, stamped
-        with ``shard`` labels and summed (see
-        :class:`repro.service.router.RouterSession`).  ``GET /metricsz``
-        renders the payload as Prometheus text.
-        """
-        return REGISTRY.snapshot()
-
-    def _handle_metrics(self, request: dict, request_id) -> bool:
-        self._respond(request_id, op="metrics", metrics=self._metrics_payload())
-        return False
-
-    def _handle_shutdown(self, request: dict, request_id) -> bool:
-        # Cancel whatever is still pending: a shutdown must not hang on a
-        # long queue (running jobs stop at their next checkpoint).  With a
-        # journal the queue is durable instead — close_session() leaves it
-        # for the next daemon rather than cancelling.  Shared-service
-        # sessions only end their own connection (close_session withdraws
-        # their jobs); daemon shutdown is the drain path's job.
-        if self.owns_service and self.service.journal is None:
-            self._cancel_pending()
-        self._respond(request_id, op="shutdown")
-        return True
-
-    _HANDLERS = {
-        "submit": _handle_submit,
-        "status": _handle_status,
-        "events": _handle_events,
-        "cancel": _handle_cancel,
-        "wait": _handle_wait,
-        "result": _handle_result,
-        "jobs": _handle_jobs,
-        "stats": _handle_stats,
-        "metrics": _handle_metrics,
-        "shutdown": _handle_shutdown,
-    }

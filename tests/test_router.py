@@ -348,6 +348,31 @@ def test_http_404_for_unknown_namespaced_job(fleet):
     assert status == 404
 
 
+def test_every_op_is_answered_by_the_router(fleet):
+    """Each op of the serve table, answered over the router's line protocol."""
+    from repro.service.serve import OPS
+
+    with make_client(fleet) as client:
+        job = client.submit("broadcast")
+        requests = {
+            "submit": {"op": "submit", "spec": "broadcast"},
+            "status": {"op": "status", "job": job},
+            "wait": {"op": "wait", "job": job, "timeout": 120},
+            "events": {"op": "events", "job": job, "since": 0, "wait": True},
+            "result": {"op": "result", "job": job, "timeout": 120},
+            "cancel": {"op": "cancel", "job": job},
+            "jobs": {"op": "jobs"},
+            "stats": {"op": "stats"},
+            "metrics": {"op": "metrics"},
+            "shutdown": {"op": "shutdown"},
+        }
+        assert set(requests) == set(OPS), "a table op has no request here"
+        for name, request in requests.items():
+            response = client.call(request)
+            assert response["ok"] is True, (name, response)
+            assert response["op"] == name
+
+
 # ----------------------------------------------------------------------
 # Failover: a disposable fleet whose replica dies mid-job
 # ----------------------------------------------------------------------
