@@ -24,9 +24,9 @@ candidate, the dichotomic shrink, the deletion minimisation) run on it.  A
 probe keeps a subset of rows by setting the other rows' upper bounds to
 ``+inf`` — only rows whose state changed are touched — and clears the
 solver state before each run, so a probe answers as a fresh model of the
-subset would.  The elastic LP is a separate one-shot LP
-(:func:`repro.smtlite.highs.solve_lp`) with the inputs and options
-``scipy.optimize.linprog(method="highs")`` would give HiGHS.
+subset would (run with the probe options below).  The elastic LP is a
+separate one-shot LP (:func:`repro.smtlite.highs.solve_lp`) with the inputs
+and options ``scipy.optimize.linprog(method="highs")`` would give HiGHS.
 
 Known models: every HiGHS run that ends with an optimum leaves its rounded
 integer solution in a pool of the session's :data:`_POOL_SIZE` most recent
@@ -57,12 +57,30 @@ Soundness: HiGHS works in floating point, so
 * the elastic-LP candidate is re-checked that way before it is used; if
   the check fails the full constraint set is the (always valid) core.
 
+Options by run kind: a *check* run (:meth:`_HighsModel.solve`) keeps
+HiGHS's defaults, because its column values become the DPLL(T) model that
+drives refinement.  A *probe* asks only whether HiGHS ends ``kInfeasible``,
+so it runs with the feasibility-jump primal heuristic switched off and with
+a node limit (:data:`_PROBE_NODE_LIMIT`).  A primal heuristic only finds
+solutions and never proves infeasibility, so switching it off changes how
+fast a feasible probe finds its solution and which solution it leaves in
+the pool, never whether a run ends ``kInfeasible``; pool entries are exact
+witnesses whatever run produced them, and they answer probes only.  So
+cores, check models and refinement trails cannot change.  The node limit
+makes a probe's answer independent of machine load: a probe that reaches it
+ends with ``kSolutionLimit`` and counts as "not proven".  HiGHS ignores
+``simplex_iteration_limit`` inside a MIP run, so nodes are the only bound.
+Which options this HiGHS knows is decided once per process
+(:func:`_run_options`); an option it rejects (an older HiGHS may not know
+feasibility jump) is left at its default.
+
 Observability: HiGHS runs by kind (``check``, ``probe``) and probe outcomes
 (``proven``, ``unproven``, and ``model`` for probes answered from a known
 model without a run) are counted in :data:`repro.obs.metrics.REGISTRY`
 (``repro_highs_runs_total``, ``repro_theory_core_probes_total``).  A
 ``kind="probe"`` run is a real HiGHS run, so it counts the ``proven`` and
-``unproven`` probes only.
+``unproven`` probes only.  ``repro_highs_run_seconds`` times every HiGHS
+run by kind: ``check``, ``probe`` and ``elastic`` (the elastic LP).
 """
 
 from __future__ import annotations
@@ -70,7 +88,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from collections.abc import Sequence
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -102,10 +120,19 @@ _POOL_SIZE = 64
 #: Bound on ``max|x|`` times the largest row L1 norm for a model to be
 #: evaluated in int64; half of int64's range absorbs the float norm's rounding.
 _INT64_HEADROOM = 2**62
+#: Branch-and-bound nodes a probe may explore before it counts as "not
+#: proven".  The largest probe of the benchmark's lists explores 23 nodes
+#: (threshold-n c=8; 99% explore one).  At the ~1.6 ms per node of a
+#: hard equality knapsack (2 vCPUs), 500 nodes take under a second.
+_PROBE_NODE_LIMIT = 500
 
 _RUNS = REGISTRY.counter(
     "repro_highs_runs_total",
     "HiGHS MILP runs of the scipy theory backend, by kind (check, probe)",
+)
+_RUN_SECONDS = REGISTRY.histogram(
+    "repro_highs_run_seconds",
+    "HiGHS run time of the scipy theory backend, by kind (check, probe, elastic)",
 )
 _PROBES = REGISTRY.counter(
     "repro_theory_core_probes_total",
@@ -115,6 +142,24 @@ _PROBES = REGISTRY.counter(
 
 #: A session's pool entry: an integer solution over the column index, and ``max|x|``.
 _PooledModel = tuple[np.ndarray, int]
+
+
+@cache
+def _run_options() -> dict[str, dict[str, object]]:
+    """HiGHS options by run kind: ``probe`` sets them, ``check`` restores the defaults.
+
+    Decided once per process: an option this HiGHS rejects is left out of
+    both, so it keeps its default on every run.
+    """
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    wanted = {"mip_heuristic_run_feasibility_jump": False, "mip_max_nodes": _PROBE_NODE_LIMIT}
+    probe, check = {}, {}
+    for name, value in wanted.items():
+        default = highs.getOptionValue(name)[1]
+        if highs.setOptionValue(name, value) != HighsStatus.kError:
+            probe[name], check[name] = value, default
+    return {"check": check, "probe": probe}
 
 
 class _Rows(NamedTuple):
@@ -207,49 +252,60 @@ class _HighsModel:
         self._highs.setOptionValue("log_to_console", False)
         self._loaded = self._highs.passModel(lp) != HighsStatus.kError
         self._kept = np.ones(num_rows, dtype=bool)
-        self._time_limit = np.inf
+        # The run kind whose options the HiGHS object holds; new ones hold the defaults.
+        self._options = "check"
         self._pool = pool
         # Rows x models: the row holds for the model, with the row's columns
         # inside the bounds.  Built on the first probe (see _witnessed).
         self._table: np.ndarray | None = None
 
     def solve(self) -> tuple[HighsModelStatus, list[float] | None]:
-        """Status of the full system and, when optimal, its column values."""
-        _RUNS.inc(kind="check")
-        status = self._run(np.ones(len(self.rhs), dtype=bool), np.inf)
+        """Status of the full system and, when optimal, its column values.
+
+        A check run: HiGHS's default options, whatever probes ran before.
+        """
+        status = self._run(np.ones(len(self.rhs), dtype=bool), "check")
         if status != HighsModelStatus.kOptimal:
             return status, None
         return status, self._highs.getSolution().col_value
 
-    def proven_infeasible(self, rows: Sequence[int], time_limit: float = np.inf) -> bool:
+    def proven_infeasible(self, rows: Sequence[int]) -> bool:
         """True only when HiGHS ends the run on ``rows`` with status ``kInfeasible``.
 
         When a known model satisfies ``rows``, HiGHS cannot prove them
-        infeasible, so the answer is False without a run.
+        infeasible, so the answer is False without a run.  The run is a
+        probe run: no feasibility jump, and at most :data:`_PROBE_NODE_LIMIT`
+        branch-and-bound nodes, so the answer does not depend on how fast
+        the machine is.  A run that reaches the limit is "not proven".
         """
         rows = list(rows)
         if self._witnessed(rows):
             _PROBES.inc(outcome="model")
             return False
-        _RUNS.inc(kind="probe")
         kept = np.zeros(len(self.rhs), dtype=bool)
         kept[rows] = True
-        proven = self._run(kept, time_limit) == HighsModelStatus.kInfeasible
+        proven = self._run(kept, "probe") == HighsModelStatus.kInfeasible
         _PROBES.inc(outcome="proven" if proven else "unproven")
         return proven
 
-    def _run(self, kept: np.ndarray, time_limit: float) -> HighsModelStatus:
+    def _run(self, kept: np.ndarray, kind: str) -> HighsModelStatus:
+        """One HiGHS run on the ``kept`` rows with the options of ``kind`` (check, probe)."""
+        _RUNS.inc(kind=kind)
         if not self._loaded:
             return HighsModelStatus.kModelError
+        start = time.perf_counter()
         highs = self._highs
         for row in np.flatnonzero(kept != self._kept):
             highs.changeRowBounds(int(row), -np.inf, self.rhs[row] if kept[row] else np.inf)
         self._kept = kept
-        if time_limit != self._time_limit:
-            highs.setOptionValue("time_limit", float(time_limit))
-            self._time_limit = time_limit
+        if kind != self._options:
+            for name, value in _run_options()[kind].items():
+                highs.setOptionValue(name, value)
+            self._options = kind
         highs.clearSolver()
-        if highs.run() == HighsStatus.kError:
+        finished = highs.run() != HighsStatus.kError
+        _RUN_SECONDS.observe(time.perf_counter() - start, kind=kind)
+        if not finished:
             return HighsModelStatus.kSolveError
         status = highs.getModelStatus()
         if status == HighsModelStatus.kOptimal:
@@ -326,13 +382,11 @@ class ScipyTheorySolver(TheorySolverBase):
         minimize_cores: bool = True,
         core_minimization_budget: int = 16,
         core_shrink_budget: int = 96,
-        core_shrink_time_limit: float = 5.0,
     ):
         super().__init__()
         self.minimize_cores = minimize_cores
         self.core_minimization_budget = core_minimization_budget
         self.core_shrink_budget = core_shrink_budget
-        self.core_shrink_time_limit = core_shrink_time_limit
         self._exact_fallback = ExactTheorySolver()
         # Grow-only variable -> column index shared by all calls.
         self._var_index: dict[str, int] = {}
@@ -503,31 +557,28 @@ class ScipyTheorySolver(TheorySolverBase):
         """Shrink an unsatisfiable index set by dropping halving chunks.
 
         ddmin-style: try to remove chunks of decreasing size while the
-        remainder stays infeasible.  Costs O(budget) time-limited subset
-        probes and typically reduces a full-assignment core to a handful of
-        rows, which turns the learned blocking clause from a
+        remainder stays infeasible.  Costs at most ``core_shrink_budget``
+        subset probes and typically reduces a full-assignment core to a
+        handful of rows, which turns the learned blocking clause from a
         single-assignment exclusion into a real pruning lemma.  Removing
         rows can make the branch-and-bound much harder than the full
-        system, so each probe carries a time limit; an undecided probe
-        counts as "not proven", which is always sound (the core stays
-        larger).
+        system, so each probe is bounded by the probe node limit (not by
+        time: the result must not depend on machine load); an undecided
+        probe counts as "not proven", which is always sound (the core
+        stays larger).
         """
         budget = self.core_shrink_budget
         if budget <= 0 or len(core) <= 4:
             return core
-        deadline = time.perf_counter() + self.core_shrink_time_limit
-        per_probe = max(self.core_shrink_time_limit / 8.0, 0.25)
         chunk = len(core) // 2
         while chunk >= 1 and budget > 0:
             position = 0
             while position < len(core) and budget > 0:
-                if time.perf_counter() > deadline:
-                    return core
                 trial = core[:position] + core[position + chunk :]
                 if not trial:
                     break
                 budget -= 1
-                if model.proven_infeasible(trial, time_limit=per_probe):
+                if model.proven_infeasible(trial):
                     core = trial
                 else:
                     position += chunk
@@ -550,6 +601,7 @@ class ScipyTheorySolver(TheorySolverBase):
             np.concatenate((index, slack_rows)),
             np.concatenate((value, np.full(num_constraints, -1.0))),
         )
+        start = time.perf_counter()
         solution = solve_lp(
             np.concatenate((np.zeros(num_variables), np.ones(num_constraints))),
             elastic,
@@ -557,6 +609,7 @@ class ScipyTheorySolver(TheorySolverBase):
             np.concatenate((model.lower, np.zeros(num_constraints))),
             np.concatenate((model.upper, np.full(num_constraints, np.inf))),
         )
+        _RUN_SECONDS.observe(time.perf_counter() - start, kind="elastic")
         if solution is None:
             return None
         if solution.fun <= _FEASIBILITY_TOLERANCE:

@@ -6,12 +6,14 @@ their bounds.  These tests pin what that must not change: answers equal to
 fresh models and to the exact backend, cores that are exactly infeasible,
 and the rule that only a ``kInfeasible`` status proves anything.  A probe
 may also be answered from the session's pool of known integer models; such
-an answer must equal HiGHS's and rest on an exact witness.
+an answer must equal HiGHS's and rest on an exact witness.  Probe runs use
+their own options (no feasibility jump, a node limit); check runs must
+answer exactly as on a fresh model, and no answer may depend on the clock.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 import random
 import time
 from collections import deque
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
-from scipy.optimize._highspy._core import HighsModelStatus
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 from repro.protocols.library import flock_of_birds_threshold_n_protocol
 from repro.smtlite import scipy_backend
@@ -78,8 +80,8 @@ def model_answers():
     return scipy_backend._PROBES.value(outcome="model")
 
 
-def half_integer_system():
-    """``2x = 1`` (rows 0 and 1) plus six satisfiable rows: infeasible only by integrality.
+def half_integer_system(satisfiable_rows=6):
+    """``2x = 1`` (rows 0 and 1) plus satisfiable rows: infeasible only by integrality.
 
     The LP relaxation is feasible, so the elastic LP finds no candidate and
     the whole row set goes into the dichotomic shrink.
@@ -87,7 +89,7 @@ def half_integer_system():
     constraints = [
         TheoryConstraint.from_expr({"x": 2}, -1),
         TheoryConstraint.from_expr({"x": -2}, 1),
-    ] + [TheoryConstraint.from_expr({"y": 1, "z": -1}, -k) for k in range(6)]
+    ] + [TheoryConstraint.from_expr({"y": 1, "z": -1}, -k) for k in range(satisfiable_rows)]
     bounds = {"x": (0, 10), "y": (0, 10), "z": (0, 10)}
     return constraints, bounds
 
@@ -102,8 +104,8 @@ def one_error_probe(monkeypatch):
     original = _HighsModel._run
     forced = []
 
-    def run(self, kept, time_limit):
-        status = original(self, kept, time_limit)
+    def run(self, kept, kind):
+        status = original(self, kept, kind)
         if status != HighsModelStatus.kInfeasible and not forced:
             forced.append(kept.copy())
             return HighsModelStatus.kModelError
@@ -159,13 +161,13 @@ class InterleavedProbes(RuleBasedStateMachine):
         subset = [self.constraints[row] for row in rows]
         return self.reference._model(subset, self.bounds).solve()[0]
 
-    @rule(data=st.data(), time_limit=st.sampled_from([math.inf, 5.0]))
-    def probe(self, data, time_limit):
+    @rule(data=st.data())
+    def probe(self, data):
         rows = data.draw(
             st.lists(st.sampled_from(range(len(self.constraints))), min_size=1, unique=True).map(sorted)
         )
         answered = model_answers()
-        proven = self.model.proven_infeasible(rows, time_limit=time_limit)
+        proven = self.model.proven_infeasible(rows)
         assert proven == (self.fresh_status(rows) == HighsModelStatus.kInfeasible)
         if model_answers() > answered:
             assert not proven
@@ -263,7 +265,7 @@ class TestOnlyInfeasibleIsAProof:
         assert 0 in core and 1 in core
 
     def test_undecided_check_falls_back_to_the_exact_backend(self, monkeypatch):
-        monkeypatch.setattr(_HighsModel, "_run", lambda self, kept, limit: HighsModelStatus.kSolveError)
+        monkeypatch.setattr(_HighsModel, "_run", lambda self, kept, kind: HighsModelStatus.kSolveError)
         constraints, bounds = half_integer_system()
         result = ScipyTheorySolver().check(constraints, bounds)
         assert not result.satisfiable
@@ -272,7 +274,7 @@ class TestOnlyInfeasibleIsAProof:
         assert sat.satisfiable
 
     def test_is_satisfiable_falls_back_when_undecided(self, monkeypatch):
-        monkeypatch.setattr(_HighsModel, "_run", lambda self, kept, limit: HighsModelStatus.kModelError)
+        monkeypatch.setattr(_HighsModel, "_run", lambda self, kept, kind: HighsModelStatus.kModelError)
         constraints, bounds = half_integer_system()
         solver = ScipyTheorySolver()
         assert not solver.is_satisfiable(constraints, bounds)
@@ -292,26 +294,163 @@ def equality_knapsacks(num_variables=18, seed=0):
     return constraints, {name: (0, 3) for name in names}
 
 
-def test_time_limit_applies_per_run():
-    """HiGHS's ``time_limit`` bounds each ``run()``, not the model's lifetime.
+def test_node_limit_applies_per_run():
+    """HiGHS's ``mip_max_nodes`` bounds each probe run, not the model's lifetime.
 
-    Core shrinking gives every probe the same per-probe limit on one model;
-    a lifetime limit would turn later probes into undecided ones.  The runs
-    here spend five limits' worth of time in total, almost all of it inside
-    HiGHS, and must all still end proven.
+    Core shrinking runs every probe on one model; a lifetime limit would
+    turn later probes into undecided ones.  Each run here explores 34 nodes
+    and the runs together explore more than the limit, so all of them must
+    still end proven.
     """
-    constraints, bounds = equality_knapsacks()
+    constraints, bounds = equality_knapsacks(seed=1)
     model = ScipyTheorySolver()._model(constraints, bounds)
     everything = range(len(constraints))
-    limit = 0.2
-    spent = 0.0
-    runs = 0
-    while spent < 5 * limit and runs < 2000:
-        start = time.perf_counter()
-        assert model.proven_infeasible(everything, time_limit=limit), f"run {runs} undecided"
-        spent += time.perf_counter() - start
-        runs += 1
-    assert spent >= 5 * limit
+    nodes = 0
+    while nodes <= scipy_backend._PROBE_NODE_LIMIT:
+        assert model.proven_infeasible(everything), f"undecided after {nodes} nodes"
+        nodes += model._highs.getInfo().mip_node_count
+
+
+@pytest.fixture
+def fresh_run_options():
+    """Decide the per-process HiGHS run options anew under the test's patches, and after it."""
+    scipy_backend._run_options.cache_clear()
+    yield
+    scipy_backend._run_options.cache_clear()
+
+
+def recorded_statuses(monkeypatch):
+    """Every ``(kind, status)`` of a ``_HighsModel`` run from now on."""
+    original = _HighsModel._run
+    statuses = []
+
+    def run(self, kept, kind):
+        status = original(self, kept, kind)
+        statuses.append((kind, status))
+        return status
+
+    monkeypatch.setattr(_HighsModel, "_run", run)
+    return statuses
+
+
+class TestProbeLimits:
+    def test_a_probe_at_the_node_limit_is_unproven(self, monkeypatch, fresh_run_options):
+        """The knapsack's proof takes 34 nodes; the limit is lowered to 4 to reach it in milliseconds.
+
+        The probe reaching the limit counts as unproven, a check run on the
+        same model is not limited, and a core extracted past such a probe
+        stays exactly infeasible.
+        """
+        monkeypatch.setattr(scipy_backend, "_PROBE_NODE_LIMIT", 4)
+        knapsack, bounds = equality_knapsacks(seed=1)
+        model = ScipyTheorySolver()._model(knapsack, bounds)
+        unproven = scipy_backend._PROBES.value(outcome="unproven")
+        assert not model.proven_infeasible(range(len(knapsack)))
+        assert model._highs.getModelStatus() == HighsModelStatus.kSolutionLimit
+        assert scipy_backend._PROBES.value(outcome="unproven") == unproven + 1
+        assert model.solve()[0] == HighsModelStatus.kInfeasible
+
+        # ``2x = 1`` in front of the knapsack: the shrink's first probe keeps
+        # only knapsack rows and reaches the limit.
+        half_integer, half_bounds = half_integer_system()
+        constraints = half_integer[:2] + knapsack
+        bounds = {**bounds, "x": half_bounds["x"]}
+        statuses = recorded_statuses(monkeypatch)
+        result = ScipyTheorySolver().check(constraints, bounds)
+        assert ("probe", HighsModelStatus.kSolutionLimit) in statuses
+        assert result.core == [0, 1]
+        assert exactly_infeasible(constraints, bounds, result.core)
+
+    def test_core_does_not_depend_on_the_clock(self, monkeypatch):
+        """A clock that jumps 1000 s at every reading leaves the core as it is.
+
+        Twenty rows are more than the deletion minimisation takes, so the
+        core is the dichotomic shrink's alone.
+        """
+        constraints, bounds = half_integer_system(satisfiable_rows=18)
+        expected = ScipyTheorySolver().check(constraints, bounds).core
+        clock = itertools.count(step=1000.0)
+        monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+        assert repr(ScipyTheorySolver().check(constraints, bounds).core) == repr(expected)
+
+
+class _HighsWithoutFeasibilityJump(_Highs):
+    """A HiGHS that does not know the feasibility-jump option, as an older release may not."""
+
+    OPTION = "mip_heuristic_run_feasibility_jump"
+
+    def setOptionValue(self, name, value):
+        if name == self.OPTION:
+            return HighsStatus.kError
+        return super().setOptionValue(name, value)
+
+    def getOptionValue(self, name):
+        if name == self.OPTION:
+            return HighsStatus.kError, 0
+        return super().getOptionValue(name)
+
+
+def test_highs_without_feasibility_jump_keeps_its_defaults(monkeypatch, fresh_run_options):
+    cases = [half_integer_system(), equality_knapsacks(seed=1)]
+    expected = [ScipyTheorySolver().check(constraints, bounds).core for constraints, bounds in cases]
+    monkeypatch.setattr(scipy_backend, "_Highs", _HighsWithoutFeasibilityJump)
+    scipy_backend._run_options.cache_clear()  # the checks above decided them on the real HiGHS
+    assert scipy_backend._run_options() == {
+        "check": {"mip_max_nodes": _Highs().getOptionValue("mip_max_nodes")[1]},
+        "probe": {"mip_max_nodes": scipy_backend._PROBE_NODE_LIMIT},
+    }
+    solver = ScipyTheorySolver()
+    for (constraints, bounds), core in zip(cases, expected):
+        assert isinstance(solver._model(constraints, bounds)._highs, _HighsWithoutFeasibilityJump)
+        assert solver.check(constraints, bounds).core == core
+    constraints, bounds = half_integer_system()
+    model = ScipyTheorySolver()._model(constraints, bounds)
+    assert model.proven_infeasible([0, 1])
+    assert not model.proven_infeasible([2, 3])
+
+
+def threshold_n_checks():
+    """The ``(constraints, bounds)`` of every theory check of threshold-n c=5's WS³ run."""
+    seen = []
+    original = ScipyTheorySolver.check
+
+    def check(self, constraints, bounds):
+        seen.append((list(constraints), dict(bounds)))
+        return original(self, constraints, bounds)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ScipyTheorySolver, "check", check)
+        check_strong_consensus_impl(flock_of_birds_threshold_n_protocol(5), theory="scipy", backend="smtlite")
+    return seen
+
+
+def assert_solve_after_probes_is_fresh(constraints, bounds):
+    """``solve()`` after probe runs answers exactly as on a fresh model of the same system."""
+    solver = ScipyTheorySolver()
+    probed = solver._model(constraints, bounds)
+    everything = list(range(len(constraints)))
+    half = len(everything) // 2
+    for rows in (everything[:half], everything[half:], everything):
+        if rows:
+            probed.proven_infeasible(rows)
+    status, values = probed.solve()
+    fresh_status, fresh_values = solver._model(constraints, bounds).solve()
+    assert status == fresh_status
+    assert values == fresh_values
+
+
+class TestCheckRunsAreUntouched:
+    @given(systems())
+    @settings(max_examples=60, deadline=None)
+    def test_on_small_systems(self, system):
+        assert_solve_after_probes_is_fresh(*system)
+
+    def test_on_the_checks_of_threshold_n(self):
+        checks = threshold_n_checks()
+        probe_runs = scipy_backend._RUNS.value(kind="probe")
+        for constraints, bounds in checks:
+            assert_solve_after_probes_is_fresh(constraints, bounds)
+        assert scipy_backend._RUNS.value(kind="probe") > probe_runs
 
 
 def test_runs_and_probe_outcomes_are_counted():
@@ -333,6 +472,16 @@ def test_runs_and_probe_outcomes_are_counted():
     assert checks == 1
     assert probe_runs == proven + unproven
     assert proven >= 1 and unproven >= 1
+
+
+def test_highs_seconds_are_observed_by_kind():
+    seconds = scipy_backend._RUN_SECONDS
+    kinds = ("check", "probe", "elastic")
+    before = {kind: seconds.count(kind=kind) for kind in kinds}
+    constraints, bounds = half_integer_system()
+    ScipyTheorySolver().check(constraints, bounds)
+    for kind in kinds:
+        assert seconds.count(kind=kind) > before[kind], kind
 
 
 def test_threshold_n_trail_is_unchanged_by_known_models(monkeypatch):
