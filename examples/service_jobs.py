@@ -16,6 +16,7 @@ from __future__ import annotations
 from repro.protocols.library import broadcast_protocol, majority_protocol, remainder_protocol
 from repro.service import VerificationService
 from repro.service.events import describe_event
+from repro.service.service import service_statistics
 
 
 def main() -> None:
@@ -49,7 +50,7 @@ def main() -> None:
             f"background job: {background.status().value}, "
             f"cancelled job: {doomed.status().value}"
         )
-        print("service statistics:", service.statistics)
+        print("service statistics:", service_statistics())
 
 
 if __name__ == "__main__":

@@ -18,8 +18,6 @@ existing CI step keeps its meaning):
   running M submit→wait→result jobs against one daemon; reports throughput
   and p50/p95/p99 latency, then scrapes ``/metricsz`` and asserts the
   request/job latency histograms actually populated under load.
-  Importable as :func:`run_load` (bench.py emits its ``network_serving``
-  block from it).
 * ``--overload`` — floods a deliberately tiny daemon (2 connections,
   2 pending jobs) far past its limits and asserts the robustness contract:
   every request either completes or is *explicitly shed* with a retryable
@@ -148,7 +146,7 @@ def percentile(values: list[float], fraction: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# The load harness (imported by scripts/bench.py)
+# The load harness (also run through the router by ``--router --load N``)
 # ----------------------------------------------------------------------
 
 

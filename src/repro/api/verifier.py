@@ -155,12 +155,10 @@ class Verifier:
                 self._cache = ResultCache(self.options.cache_dir)
             return self._cache
 
-    def cache_statistics(self) -> dict | None:
-        """A snapshot of the result cache's counters (``None`` if unopened)."""
-        with self._lock:
-            if self._cache is None:
-                return None
-            return dict(self._cache.statistics)
+    @property
+    def cache(self):
+        """The session's result cache (``None`` until a check opens one)."""
+        return self._cache
 
     def analysis_context(self, protocol):
         """The session's shared :class:`~repro.constraints.context.AnalysisContext`.

@@ -144,10 +144,9 @@ def resolve_backend_name(name: str | None) -> str:
 
 _HEALTH_LOCK = threading.Lock()
 _DEMOTED: dict[str, str] = {}  # backend name -> reason of first crash
-_HEALTH_STATS = {"demotions": 0, "failed_checks": 0, "replays": 0}
 
-#: Registry mirrors of the health counters (``GET /metricsz``): the event
-#: family plus per-backend demotions, and the solver-check latency/span
+#: The health counters (:func:`health_statistics`, ``GET /metricsz``): the
+#: event family plus per-backend demotions, and the solver-check latency/span
 #: surface every backend shares (the ResilientSolver wrapper is the one
 #: choke point all verification-layer queries pass through).
 _HEALTH_EVENTS = REGISTRY.counter(
@@ -179,7 +178,6 @@ def demote_backend(name: str, reason: str) -> None:
         fresh = name not in _DEMOTED
         if fresh:
             _DEMOTED[name] = reason
-            _HEALTH_STATS["demotions"] += 1
     if fresh:
         _HEALTH_EVENTS.inc(event="demotions")
         _DEMOTIONS.inc(backend=name)
@@ -220,14 +218,14 @@ def reset_backend_health() -> None:
     """Forget all demotions and zero the health counters (tests, REPLs)."""
     with _HEALTH_LOCK:
         _DEMOTED.clear()
-        for key in _HEALTH_STATS:
-            _HEALTH_STATS[key] = 0
+    _HEALTH_EVENTS.reset()
+    _DEMOTIONS.reset()
 
 
 def health_statistics() -> dict:
     """Process-wide degradation counters plus the current demotion map."""
-    with _HEALTH_LOCK:
-        return {**_HEALTH_STATS, "demoted": dict(_DEMOTED)}
+    counts = _HEALTH_EVENTS.counts(("demotions", "failed_checks", "replays"))
+    return {**counts, "demoted": demoted_backends()}
 
 
 class ResilientSolver:
@@ -311,8 +309,6 @@ class ResilientSolver:
                 # Control flow, not a crash: cancellation belongs to the job.
                 raise
             except Exception as error:
-                with _HEALTH_LOCK:
-                    _HEALTH_STATS["failed_checks"] += 1
                 _HEALTH_EVENTS.inc(event="failed_checks")
                 if self.backend_name == DEFAULT_BACKEND and self._solver.theory_name == "exact":
                     raise  # the end of the chain
@@ -335,8 +331,6 @@ class ResilientSolver:
                 solver.pop()
         self.backend_name = DEFAULT_BACKEND
         self._solver = solver
-        with _HEALTH_LOCK:
-            _HEALTH_STATS["replays"] += 1
         _HEALTH_EVENTS.inc(event="replays")
 
     # -- delegation --------------------------------------------------------

@@ -75,8 +75,8 @@ def bump(counter: str, amount: int = 1) -> None:
     :data:`repro.obs.metrics.REGISTRY` as
     ``repro_incremental_events_total{event=...}`` and is scraped through
     ``GET /metricsz``; this function (and :func:`incremental_statistics`
-    below) keep the historical call surface for the stats op, the router
-    scatter-gather and the bench snapshot.
+    below, the stats op's ``incremental`` block) keep the call surface of
+    the solvers and the refinement loops.
     """
     _METRIC.inc(amount, event=counter)
 
@@ -89,7 +89,7 @@ def incremental_statistics() -> dict:
     aggregation surfaces (a shard whose rate collapses is rebuilding state
     it should be reusing).
     """
-    snapshot = {name: int(_METRIC.value(event=name)) for name in COUNTER_NAMES}
+    snapshot = _METRIC.counts(COUNTER_NAMES)
     learned = snapshot["cores_learned"]
     snapshot["core_retention_rate"] = (
         round(snapshot["cores_retained_across_pops"] / learned, 4) if learned else None

@@ -41,7 +41,7 @@ def batch_cache_options(
     """The options dictionary that keys cached verdicts.
 
     The single source of truth for cache keying: every caller that reads or
-    writes the result cache (``run_batch``, ``scripts/bench.py``) must build
+    writes the result cache (``run_batch``, ``Verifier`` single checks) must build
     its options through here, or identical runs would stop sharing entries.
     Only verdict-affecting fields participate (``options.cache_snapshot()``);
     the documented predicate joins the key when correctness is requested,
@@ -169,6 +169,7 @@ def run_batch(
     properties = tuple(properties)
 
     items: list[BatchItem | None] = [None] * len(protocols)
+    hits = stores = 0
     pending: list[tuple[int, PopulationProtocol, str, str, object]] = []
     first_occurrence: dict[str, int] = {}
     duplicates: list[tuple[int, int]] = []
@@ -189,6 +190,7 @@ def run_batch(
         first_occurrence[key] = index
         cached = cache.get(key) if cache is not None else None
         if cached is not None:
+            hits += 1
             monitor.emit(
                 lambda job_id, protocol=protocol, content_hash=content_hash: CacheHit(
                     job_id=job_id,
@@ -238,6 +240,7 @@ def run_batch(
                 # serve the indecision forever.
                 if not items[index].report.partial:
                     cache.put(key, items[index].report.to_dict())
+                    stores += 1
 
     for index, original in duplicates:
         source = items[original]
@@ -256,7 +259,8 @@ def run_batch(
         "properties": list(properties),
         "jobs": engine.jobs if engine is not None else 1,
         "time": time.perf_counter() - start,
-        "cache": dict(cache.statistics) if cache is not None else None,
+        # This batch's own lookups: every pending protocol was a miss.
+        "cache": {"hits": hits, "misses": len(pending), "stores": stores} if cache is not None else None,
     }
     return BatchResult(items=[item for item in items], statistics=statistics)
 

@@ -30,12 +30,17 @@ from repro.protocols.protocol import PopulationProtocol
 
 logger = logging.getLogger(__name__)
 
-#: Process-wide mirror of every instance's counters (``GET /metricsz``);
-#: the per-instance ``statistics`` dicts keep the historical payload shape.
+#: This process's result-cache traffic: the ``cache`` block of the
+#: ``stats`` op (:func:`cache_statistics`) and ``GET /metricsz``.
 _EVENTS = REGISTRY.counter(
     "repro_result_cache_events_total",
     "Result-cache traffic: hits, misses, stores and quarantined corruptions",
 )
+
+
+def cache_statistics() -> dict:
+    """This process's result-cache traffic, by event."""
+    return _EVENTS.counts(("hits", "misses", "stores", "corrupt"))
 
 
 def canonical_protocol_dict(protocol: PopulationProtocol) -> dict:
@@ -95,7 +100,7 @@ class ResultCache:
     cache directory) cannot leave a torn entry behind.  An entry that is
     present but undecodable — external corruption: a crashed filesystem, a
     truncating copy, an injected fault — is *quarantined* (renamed to
-    ``*.corrupt``), logged, counted under ``statistics["corrupt"]`` and
+    ``*.corrupt``), logged, counted as a ``corrupt`` event and
     treated as a miss, so one bad file degrades a single lookup instead of
     wedging every future run against the same key.
     """
@@ -103,7 +108,6 @@ class ResultCache:
     def __init__(self, directory: str | os.PathLike):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.statistics = {"hits": 0, "misses": 0, "stores": 0, "corrupt": 0}
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -118,21 +122,17 @@ class ResultCache:
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
-            self.statistics["misses"] += 1
-            _EVENTS.inc(event="miss")
+            _EVENTS.inc(event="misses")
             return None
         except (OSError, json.JSONDecodeError, UnicodeDecodeError) as error:
             self._quarantine(path, error)
-            self.statistics["misses"] += 1
-            _EVENTS.inc(event="miss")
+            _EVENTS.inc(event="misses")
             return None
-        self.statistics["hits"] += 1
-        _EVENTS.inc(event="hit")
+        _EVENTS.inc(event="hits")
         return payload
 
     def _quarantine(self, path: Path, error: Exception) -> None:
         """Move an undecodable entry aside so it is re-verified, not re-hit."""
-        self.statistics["corrupt"] += 1
         _EVENTS.inc(event="corrupt")
         logger.warning(
             "quarantining corrupt result-cache entry %s (%s: %s)",
@@ -161,8 +161,7 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        self.statistics["stores"] += 1
-        _EVENTS.inc(event="store")
+        _EVENTS.inc(event="stores")
         self._fault_corrupt(path)
 
     def _fault_corrupt(self, path: Path) -> None:

@@ -154,7 +154,7 @@ def emit_backend_degraded(backend: str, fallback: str, reason: str) -> None:
 def next_wave_index(fallback: int) -> int:
     """The bound job's own 1-based wave counter (``fallback`` when unbound).
 
-    Concurrent jobs share one engine, whose global wave statistic interleaves
+    Concurrent jobs share one engine, whose own wave counter interleaves
     their increments; event streams number waves *per job* so a consumer can
     follow one job's progression.
     """

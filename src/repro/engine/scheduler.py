@@ -26,6 +26,7 @@ traceback.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import threading
 import time
 from collections.abc import Sequence
@@ -37,9 +38,10 @@ from repro.obs import trace
 from repro.obs.metrics import REGISTRY
 from repro.service.events import SubproblemCompleted, SubproblemDispatched, SubproblemRetried
 
-#: Process-wide mirrors of the per-engine statistics (``GET /metricsz``)
-#: plus the per-kind subproblem latency histogram harvested from result
-#: envelopes (worker-side wall clock, so pool queueing is excluded).
+#: This process's engine events (the ``engine`` block of the ``stats`` op,
+#: :func:`engine_statistics`) plus the per-kind subproblem latency
+#: histogram harvested from result envelopes (worker-side wall clock, so
+#: pool queueing is excluded).
 _ENGINE_EVENTS = REGISTRY.counter(
     "repro_engine_events_total",
     "Engine scheduler events: waves, subproblems, retries, worker deaths, timeouts",
@@ -48,6 +50,12 @@ _SUBPROBLEM_SECONDS = REGISTRY.histogram(
     "repro_subproblem_seconds",
     "Worker-side subproblem solve time, by subproblem kind",
 )
+
+
+def engine_statistics() -> dict:
+    """This process's engine events, by event."""
+    return _ENGINE_EVENTS.counts(("waves", "subproblems", "retries", "worker_deaths", "timeouts"))
+
 
 #: Bumped whenever a change to the engine or the verification layer can
 #: alter verdicts, certificates or counterexamples; part of every result
@@ -124,16 +132,9 @@ class VerificationEngine:
         self._executor: concurrent.futures.ProcessPoolExecutor | None = None
         # Concurrent service jobs share one engine from different dispatcher
         # threads; pool creation must not race (a lost pool would leak its
-        # worker processes) and the statistics counters are read-modify-write.
+        # worker processes).
         self._executor_lock = threading.Lock()
-        self._statistics_lock = threading.Lock()
-        self.statistics = {
-            "waves": 0,
-            "subproblems": 0,
-            "retries": 0,
-            "worker_deaths": 0,
-            "timeouts": 0,
-        }
+        self._waves = itertools.count(1)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -142,12 +143,6 @@ class VerificationEngine:
     @property
     def parallel(self) -> bool:
         return self.jobs > 1
-
-    def _count(self, counter: str, amount: int = 1) -> None:
-        """Thread-safe statistics increment (dispatcher threads share engines)."""
-        with self._statistics_lock:
-            self.statistics[counter] += amount
-        _ENGINE_EVENTS.inc(amount, event=counter)
 
     def _ensure_executor(self) -> concurrent.futures.ProcessPoolExecutor:
         with self._executor_lock:
@@ -191,14 +186,11 @@ class VerificationEngine:
         # cancellation.  A cancelled job never dispatches another wave, so
         # its share of the pool frees up for concurrently scheduled jobs.
         monitor.check_cancelled()
-        with self._statistics_lock:
-            self.statistics["waves"] += 1
-            self.statistics["subproblems"] += len(subproblems)
-            engine_wave = self.statistics["waves"]
+        engine_wave = next(self._waves)
         _ENGINE_EVENTS.inc(event="waves")
         _ENGINE_EVENTS.inc(len(subproblems), event="subproblems")
-        # Event streams number waves per *job* (the engine-global counter
-        # interleaves concurrent jobs); plain engine use keeps the global.
+        # Event streams number waves per *job* (the engine's own counter
+        # interleaves concurrent jobs); plain engine use keeps the engine's.
         wave = monitor.next_wave_index(fallback=engine_wave)
         if trace.tracing_active() and self.parallel:
             # Workers cannot see the coordinator's sink; the envelope flag
@@ -244,7 +236,7 @@ class VerificationEngine:
                     )
                 raise EngineError(reason)
             outstanding = sorted(outcome.lost)
-            self._count("retries", len(outstanding))
+            _ENGINE_EVENTS.inc(len(outstanding), event="retries")
             delay = max(self.retry.backoff_delay(attempts[p] - 1) for p in outstanding)
             for position in outstanding:
                 self._emit_retried(
@@ -339,7 +331,7 @@ class VerificationEngine:
                             f"wave exceeded its {self.wave_timeout}s budget while waiting on "
                             f"{label}"
                         ) from error
-                    self._count("timeouts")
+                    _ENGINE_EVENTS.inc(event="timeouts")
                     outcome.mark_lost(
                         position,
                         f"{label} exceeded its {subproblem_timeout}s deadline "
@@ -348,7 +340,7 @@ class VerificationEngine:
                     )
                     continue
                 except concurrent.futures.process.BrokenProcessPool:
-                    self._count("worker_deaths")
+                    _ENGINE_EVENTS.inc(event="worker_deaths")
                     self.shutdown(kill=True)
                     pending.pop(position, None)
                     outcome.mark_lost(

@@ -12,24 +12,12 @@ worker processes cache the decoded protocol.
 
 Payloads that also land on disk — the result cache stores whole
 verification reports — go through the shared artifact codecs of
-:mod:`repro.io.serialization`, re-exported here for the engine's
-convenience.
+:mod:`repro.io.serialization`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro.io.serialization import (  # noqa: F401  (re-exported codec surface)
-    counterexample_from_dict,
-    counterexample_to_dict,
-    decode_flow,
-    decode_multiset,
-    decode_partition,
-    encode_flow,
-    encode_multiset,
-    encode_partition,
-)
 
 #: Subproblem kinds understood by :func:`repro.engine.worker.solve_subproblem`.
 KINDS = ("check-protocol", "poison")
@@ -91,13 +79,3 @@ class SubproblemResult:
     data: dict = field(default_factory=dict)
     statistics: dict = field(default_factory=dict)
     spans: list | None = None
-
-
-# ----------------------------------------------------------------------
-# Portable encodings (shared codecs from repro.io.serialization)
-# ----------------------------------------------------------------------
-
-#: Backwards-compatible aliases for the pre-codec names.
-encode_consensus_counterexample = counterexample_to_dict
-decode_consensus_counterexample = counterexample_from_dict
-

@@ -4,12 +4,11 @@ Three pillars, one import point:
 
 * :mod:`repro.obs.metrics` — a process-global :data:`~repro.obs.metrics.REGISTRY`
   of thread-safe counters, gauges and label-aware log-scale histograms with a
-  mergeable snapshot form and a Prometheus text encoder.  Every counter that
-  used to live in an ad-hoc per-module dictionary (incremental-IR stats,
-  result-cache traffic, scheduler retries, backend demotions, network
-  connection counters) is mirrored here, so ``GET /metricsz`` serves one
-  scrapeable surface and the router aggregates it fleet-wide with per-shard
-  labels.
+  mergeable snapshot form and a Prometheus text encoder.  It is the only
+  store of process-level counters (incremental-IR stats, result-cache
+  traffic, scheduler retries, backend demotions, service, journal and
+  network counters): ``GET /metricsz`` renders it, the ``stats`` op reads
+  it, and the router aggregates it fleet-wide with per-shard labels.
 * :mod:`repro.obs.trace` — contextvar-based hierarchical spans
   (job → property → CEGAR iteration / layer → subproblem → solver check)
   recorded into a bounded ring, shippable across process boundaries in

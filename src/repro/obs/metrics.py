@@ -21,7 +21,9 @@ Naming convention (documented in ARCHITECTURE.md): every metric is
 ``repro_<component>_<what>[_total|_seconds]``; ``*_total`` for counters,
 ``*_seconds`` for latency histograms.  Families of related counters share
 one metric name with an ``event`` label (``repro_result_cache_events_total
-{event="hit"}``) rather than one metric per event.
+{event="hits"}``) rather than one metric per event.  The registry is the
+only store of process-level counters: the ``stats`` op and ``GET /statsz``
+read their blocks from it with :meth:`Counter.counts`.
 """
 
 from __future__ import annotations
@@ -101,6 +103,15 @@ class Counter(_Metric):
         """The sum over every label combination."""
         with self._lock:
             return sum(self._series.values())
+
+    def counts(self, names, label: str = "event") -> dict:
+        """``{name: value}`` of the series ``{label: name}`` for each name.
+
+        Zeros included, so a payload built from a counter family keeps its
+        shape before the first event.
+        """
+        with self._lock:
+            return {name: self._series.get(self._key({label: name}), 0) for name in names}
 
 
 class Gauge(_Metric):

@@ -15,10 +15,11 @@ retry discipline a networked service demands:
   hint; if the server is still shedding when attempts run out, the final
   :class:`OverloadedError` tells the caller *why* (turned away, not
   broken);
-* **resumable event streams** — :meth:`VerificationClient.events` is a
-  long-poll loop over the ``events`` op carrying an explicit ``since``
-  cursor, so a dropped connection (or server-side buffer drop) costs
-  nothing: the next poll replays exactly the missed suffix.
+* **resumable event streams** — :meth:`VerificationClient.events` follows
+  the ``events`` op (:func:`repro.service.serve.follow_events`) with an
+  explicit ``since`` cursor, so a dropped connection (or server-side
+  buffer drop) costs nothing: the next poll replays exactly the missed
+  suffix.
 
 Retried submits are *at-least-once*: if the response to a ``submit`` is
 lost after the server processed it, the retry creates a second job.
@@ -38,8 +39,6 @@ import threading
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-from repro.api.jobs import TERMINAL_STATUSES
 
 logger = logging.getLogger(__name__)
 
@@ -367,20 +366,14 @@ class VerificationClient:
         is drained; with ``follow=False`` it yields the current backlog
         and returns.
         """
-        cursor = int(since)
-        while True:
-            payload: dict = {"op": "events", "job": job, "since": cursor}
-            if follow:
-                payload["wait"] = True
-                payload["timeout"] = poll_timeout
-            response = self._request(
-                payload, read_timeout=poll_timeout + min(30.0, self._timeout)
-            )
-            events = response.get("events", [])
-            for event in events:
-                yield event
-            cursor = int(response.get("next", cursor + len(events)))
-            if not follow:
-                return
-            if response.get("status") in TERMINAL_STATUSES and not events:
-                return
+        # Imported here: a client-only process loads the server modules
+        # only once it follows a job.
+        from repro.service.serve import follow_events
+
+        read_timeout = poll_timeout + min(30.0, self._timeout)
+
+        def poll(request: dict) -> dict:
+            return self._request({**request, "timeout": poll_timeout}, read_timeout=read_timeout)
+
+        for events in follow_events(poll, job, int(since), follow=follow):
+            yield from events

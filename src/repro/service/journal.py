@@ -44,6 +44,8 @@ import os
 import threading
 from pathlib import Path
 
+from repro.obs.metrics import REGISTRY
+
 #: Version tag of the journal line format; bumped on schema changes.
 JOURNAL_SCHEMA = "repro-job-journal/1"
 
@@ -59,6 +61,18 @@ COMPACT_THRESHOLD_BYTES = 8 * 1024 * 1024
 #: Keys a ``finished`` record contributes on top of the submitted payload.
 _FINISHED_KEYS = ("status", "error", "report", "batch")
 
+#: This process's journal events: the ``journal`` block of the ``stats`` op
+#: (:func:`journal_statistics`) and ``GET /metricsz``.
+_EVENTS = REGISTRY.counter(
+    "repro_journal_events_total",
+    "Job-journal events: appended, replayed and torn records, compactions",
+)
+
+
+def journal_statistics() -> dict:
+    """This process's job-journal events, by event."""
+    return _EVENTS.counts(("appended", "replayed", "torn", "compacted"))
+
 
 class JobJournal:
     """Append-only JSON-lines journal of job transitions, with replay."""
@@ -73,7 +87,6 @@ class JobJournal:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / "journal.jsonl"
         self._lock = threading.Lock()
-        self.statistics = {"appended": 0, "replayed": 0, "torn": 0, "compacted": 0}
         if compact_threshold_bytes is not None and self.size_bytes() > compact_threshold_bytes:
             self.compact()
 
@@ -96,7 +109,7 @@ class JobJournal:
                 handle.write(line + "\n")
                 handle.flush()
                 os.fsync(handle.fileno())
-            self.statistics["appended"] += 1
+            _EVENTS.inc(event="appended")
 
     def load(self) -> dict[str, dict]:
         """Replay the journal into one merged state per job id.
@@ -123,17 +136,17 @@ class JobJournal:
                 record = json.loads(line)
             except json.JSONDecodeError:
                 # A torn append: the previous state of that job stands.
-                self.statistics["torn"] += 1
+                _EVENTS.inc(event="torn")
                 continue
             if not isinstance(record, dict):
-                self.statistics["torn"] += 1
+                _EVENTS.inc(event="torn")
                 continue
             kind = record.get("record")
             job_id = record.get("job")
             if not job_id or kind not in RECORD_KINDS:
-                self.statistics["torn"] += 1
+                _EVENTS.inc(event="torn")
                 continue
-            self.statistics["replayed"] += 1
+            _EVENTS.inc(event="replayed")
             if kind == "submitted":
                 state = dict(record)
                 state["started"] = False
@@ -206,7 +219,7 @@ class JobJournal:
                 os.fsync(handle.fileno())
             os.replace(tmp_path, self.path)
             self._fsync_directory()
-            self.statistics["compacted"] += 1
+            _EVENTS.inc(event="compacted")
             return {"before_bytes": before, "after_bytes": self.size_bytes(), "jobs": len(states)}
 
     def _fsync_directory(self) -> None:

@@ -48,6 +48,7 @@ chaos suite can lose, stall and cut connections deterministically.
 from __future__ import annotations
 
 import collections
+import itertools
 import json
 import logging
 import math
@@ -61,17 +62,21 @@ from dataclasses import dataclass, replace
 
 from repro.api.jobs import TERMINAL_STATUSES
 from repro.obs.metrics import REGISTRY, prometheus_text
-from repro.service.serve import OverloadedError, ServeSession
+from repro.service.serve import OverloadedError, ServeError, ServeSession, follow_events
 from repro.testing import faults
 
 logger = logging.getLogger(__name__)
 
-#: Process-wide mirror of every server's ``statistics`` dict, labelled by
-#: event (``GET /metricsz``); the per-instance dicts keep the historical
-#: ``statsz`` payload shape.
+#: This process's network-tier traffic, by event: the ``server`` block of
+#: the ``stats`` op (:meth:`NetworkServer.statsz_payload`) and ``GET
+#: /metricsz``.
 _NET_EVENTS = REGISTRY.counter(
     "repro_net_events_total",
     "Network-tier traffic: connections, frames, shed load, dropped events",
+)
+_NET_EVENT_NAMES = (
+    "connections", "http_requests", "frames", "frame_errors",
+    "shed_connections", "shed_jobs", "events_dropped",
 )
 
 #: HTTP status reasons the adapter emits.
@@ -379,15 +384,6 @@ class NetworkServer:
         self._draining = threading.Event()
         self._stopped = threading.Event()
         self._shutdown_requested = threading.Event()
-        self.statistics = {
-            "connections": 0,
-            "http_requests": 0,
-            "frames": 0,
-            "frame_errors": 0,
-            "shed_connections": 0,
-            "shed_jobs": 0,
-            "events_dropped": 0,
-        }
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -575,19 +571,15 @@ class NetworkServer:
             "pending_jobs": self.service.pending_count(),
         }
 
-    def _count(self, event: str, locked: bool = False) -> None:
-        """Bump a server counter and its process-global registry mirror."""
-        if locked:
-            self.statistics[event] += 1
-        else:
-            with self._lock:
-                self.statistics[event] += 1
+    @staticmethod
+    def _count(event: str) -> None:
         _NET_EVENTS.inc(event=event)
 
     def statsz_payload(self) -> dict:
-        """The per-server counters (connections, frames, shedding, drops)."""
+        """The network-tier counters of this process (connections, frames,
+        shedding, drops) plus this server's open connections."""
+        stats = _NET_EVENTS.counts(_NET_EVENT_NAMES)
         with self._lock:
-            stats = dict(self.statistics)
             stats["open_connections"] = len(self._connections)
         stats["accepting"] = not self._draining.is_set()
         return stats
@@ -694,7 +686,7 @@ class NetworkServer:
 
     def _serve_tcp(self, connection: socket.socket, peer: str) -> None:
         writer = _ConnectionWriter(connection, peer)
-        pump = _EventPump(writer, self.limits.event_buffer, on_drop=self._count_dropped_event)
+        pump = _EventPump(writer, self.limits.event_buffer, on_drop=lambda: self._count("events_dropped"))
         session = ServeSession(self.service, server=self, write=writer.write_line, sink=pump.push)
         bucket = None
         if self.limits.rate_limit > 0:
@@ -705,8 +697,8 @@ class NetworkServer:
                 line, overflow = self._read_frame(connection, buffer)
                 if line is None:
                     break
+                self._count("frames")
                 with self._lock:
-                    self._count("frames", locked=True)
                     self._busy.add(connection)
                 try:
                     fault = faults.fire("net.recv", peer=peer)
@@ -789,9 +781,6 @@ class NetworkServer:
                 return None, False
             buffer += chunk
 
-    def _count_dropped_event(self) -> None:
-        self._count("events_dropped")
-
     # ------------------------------------------------------------------
     # The HTTP/1.1 adapter
     # ------------------------------------------------------------------
@@ -799,8 +788,8 @@ class NetworkServer:
     def _serve_http(self, connection: socket.socket, peer: str) -> None:
         # An HTTP connection is one exchange; it is "busy" for the drain
         # logic from first byte to last.
+        self._count("http_requests")
         with self._lock:
-            self._count("http_requests", locked=True)
             self._busy.add(connection)
         writer = _ConnectionWriter(connection, peer)
         try:
@@ -1011,11 +1000,18 @@ class NetworkServer:
         except ValueError:
             since = 0
         follow = (query.get("follow") or ["1"])[0] not in ("0", "false", "no")
+        deadline = time.monotonic() + self.limits.idle_timeout
+
+        def poll(request: dict) -> dict:
+            return self._dispatch({**request, "timeout": max(0.1, min(10.0, deadline - time.monotonic()))})
+
+        stream = follow_events(poll, job_id, since, follow=follow)
         # The backlog comes before any header is written, so a request the
         # op refuses (a negative cursor) still gets a plain 400.
-        response = self._dispatch({"op": "events", "job": job_id, "since": since})
-        if not response["ok"]:
-            self._http_respond(writer, 400, response)
+        try:
+            backlog = next(stream)
+        except ServeError as error:
+            self._http_respond(writer, 400, {"ok": False, "error": str(error)})
             return
         head = (
             "HTTP/1.1 200 OK\r\n"
@@ -1024,33 +1020,20 @@ class NetworkServer:
             "connection: close\r\n\r\n"
         ).encode("utf-8")
         writer.write_bytes(head, kind="http")
-        # Pull-based: this connection's thread polls the job's event log in
-        # bounded long-poll slices, so a slow reader backpressures only
-        # itself.  Stops once the job is terminal and the log is drained (or
-        # immediately after the backlog when ``follow`` is off).
-        deadline = time.monotonic() + self.limits.idle_timeout
-        while True:
-            events = response.get("events", [])
-            for event in events:
-                line = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
-                chunk = f"{len(line):x}\r\n".encode("ascii") + line + b"\r\n"
-                writer.write_bytes(chunk, kind="event")
-            since = response.get("next", since + len(events))
-            if not follow:
-                break
-            if events:
-                deadline = time.monotonic() + self.limits.idle_timeout
-            elif response.get("status") in TERMINAL_STATUSES or time.monotonic() >= deadline:
-                break
-            response = self._dispatch(
-                {
-                    "op": "events",
-                    "job": job_id,
-                    "since": since,
-                    "wait": True,
-                    "timeout": max(0.1, min(10.0, deadline - time.monotonic())),
-                }
-            )
-            if not response["ok"]:
-                break
+        # Pull-based: this connection's thread follows the job's event log
+        # in bounded long-poll slices, so a slow reader backpressures only
+        # itself.  Stops once the job is terminal and the log is drained,
+        # after the backlog when ``follow`` is off, or at the idle deadline.
+        try:
+            for events in itertools.chain([backlog], stream):
+                for event in events:
+                    line = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
+                    chunk = f"{len(line):x}\r\n".encode("ascii") + line + b"\r\n"
+                    writer.write_bytes(chunk, kind="event")
+                if events:
+                    deadline = time.monotonic() + self.limits.idle_timeout
+                elif time.monotonic() >= deadline:
+                    break
+        except ServeError:
+            pass  # the job left the service mid-stream; end the stream
         writer.write_bytes(b"0\r\n\r\n", kind="http")

@@ -26,7 +26,21 @@ import threading
 import time
 from pathlib import Path
 
+from repro.obs.metrics import REGISTRY
+
 logger = logging.getLogger(__name__)
+
+#: This process's supervision events: the ``supervisor`` block of the
+#: router's ``stats`` op (:func:`supervisor_statistics`) and ``GET /metricsz``.
+_EVENTS = REGISTRY.counter(
+    "repro_replica_events_total",
+    "Replica supervision events: spawns, restarts, probe kills",
+)
+
+
+def supervisor_statistics() -> dict:
+    """This process's replica supervision events, by event."""
+    return _EVENTS.counts(("spawns", "restarts", "probe_kills"))
 
 #: Backoff before the first restart of a dead replica, doubling per failure.
 RESTART_BACKOFF_SECONDS = 0.2
@@ -127,7 +141,6 @@ class ReplicaSupervisor:
             self._replicas[shard_id] = Replica(shard_id, index, self.state_dir / shard_id)
         self._stopping = threading.Event()
         self._monitor: threading.Thread | None = None
-        self.statistics = {"spawns": 0, "restarts": 0, "probe_kills": 0}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -288,7 +301,7 @@ class ReplicaSupervisor:
             replica.spawned_at = time.monotonic()
             replica.probe_failures = 0
             replica.last_ready = None
-            self.statistics["spawns"] += 1
+        _EVENTS.inc(event="spawns")
         logger.info(
             "shard %s serving on %s:%d (pid %d, generation %d)",
             replica.shard_id,
@@ -365,7 +378,7 @@ class ReplicaSupervisor:
                 replica.shard_id,
                 self.probe_failure_limit,
             )
-            self.statistics["probe_kills"] += 1
+            _EVENTS.inc(event="probe_kills")
             process.kill()
             process.wait(timeout=30)
             _reap(process)
@@ -427,4 +440,4 @@ class ReplicaSupervisor:
         with self._lock:
             replica.restart_at = 0.0
             replica.restarts += 1
-            self.statistics["restarts"] += 1
+        _EVENTS.inc(event="restarts")

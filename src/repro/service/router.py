@@ -45,21 +45,27 @@ from repro.service.client import (
     TransportError,
     VerificationClient,
 )
-from repro.api.jobs import TERMINAL_STATUSES
 from repro.obs.metrics import REGISTRY
 from repro.service.net import NetworkServer
 from repro.service.replicas import ReplicaError, ReplicaSupervisor
-from repro.service.serve import Op, OverloadedError, ServeError, ServeSession, submitted_protocols
+from repro.service.serve import (
+    Op,
+    OverloadedError,
+    ServeError,
+    ServeSession,
+    follow_events,
+    submitted_protocols,
+)
 
 logger = logging.getLogger(__name__)
 
-#: Process-wide mirror of the router's counters (``GET /metricsz``).
+#: This process's routing counters: the ``router`` block of the ``stats``
+#: op (:meth:`JobRouter.statsz_payload`) and ``GET /metricsz``.
 _ROUTER_EVENTS = REGISTRY.counter(
     "repro_router_events_total",
     "Routing-tier traffic: routed jobs, proxied ops, failover sheds",
 )
-#: Routed jobs by owning shard — the per-shard ``jobs_<shard>`` counters of
-#: the ``stats`` payload as one labelled metric.
+#: Routed jobs by owning shard — the ``jobs_<shard>`` keys of that block.
 _ROUTED_JOBS = REGISTRY.counter(
     "repro_router_routed_jobs_total",
     "Jobs routed to each shard by rendezvous hashing",
@@ -194,10 +200,6 @@ class JobRouter:
             shard_id: _ShardLink(shard_id, supervisor, timeout=client_timeout, retry=retry)
             for shard_id in self.shard_ids
         }
-        self._lock = threading.Lock()
-        self.statistics = {"routed_jobs": 0, "proxied_ops": 0, "failover_sheds": 0}
-        for shard_id in self.shard_ids:
-            self.statistics[f"jobs_{shard_id}"] = 0
 
     # ------------------------------------------------------------------
     # Sharding
@@ -221,15 +223,15 @@ class JobRouter:
         return hashes[0]
 
     def count_routed(self, shard_id: str) -> None:
-        with self._lock:
-            self.statistics["routed_jobs"] += 1
-            self.statistics[f"jobs_{shard_id}"] += 1
         _ROUTER_EVENTS.inc(event="routed_jobs")
         _ROUTED_JOBS.inc(shard=shard_id)
 
-    def statistics_snapshot(self) -> dict:
-        with self._lock:
-            return dict(self.statistics)
+    def statsz_payload(self) -> dict:
+        """This process's routing counters, plus the jobs routed to each shard."""
+        stats = _ROUTER_EVENTS.counts(("routed_jobs", "proxied_ops", "failover_sheds"))
+        for shard_id, routed in _ROUTED_JOBS.counts(self.shard_ids, label="shard").items():
+            stats[f"jobs_{shard_id}"] = routed
+        return stats
 
     # ------------------------------------------------------------------
     # Proxying
@@ -244,15 +246,11 @@ class JobRouter:
         link = self._links.get(shard_id)
         if link is None:
             raise ServeError(f"unknown shard {shard_id!r}")
-        with self._lock:
-            self.statistics["proxied_ops"] += 1
         _ROUTER_EVENTS.inc(event="proxied_ops")
         deadline = time.monotonic() + self.failover_timeout
         try:
             return link.call(payload, deadline=deadline, read_timeout=read_timeout)
         except TransportError as error:
-            with self._lock:
-                self.statistics["failover_sheds"] += 1
             _ROUTER_EVENTS.inc(event="failover_sheds")
             raise OverloadedError(str(error), retry_after=1.0) from error
 
@@ -372,44 +370,29 @@ class JobRouter:
         """Pump one job's events from its shard into ``session``.
 
         The shard's push stream belongs to the shard's own connection, so
-        the router long-polls the ``events`` op instead (short slices, a
-        stop flag checked between slices) and pushes each event into the
-        session's sink with the job id namespaced — the client sees exactly
-        the stream a direct connection would have shown.
+        the router follows the ``events`` op instead (short long-poll
+        slices, a stop flag checked between them) and pushes each event
+        into the session's sink with the job id namespaced — the client
+        sees exactly the stream a direct connection would have shown.
         """
         stop = threading.Event()
         session.on_close(stop.set)
         namespaced = f"{shard}:{local_id}"
 
+        def poll(request: dict) -> dict:
+            return self.shard_call(shard, {**request, "timeout": 2.0}, read_timeout=32.0)
+
         def pump() -> None:
-            since = 0
-            while not stop.is_set():
-                try:
-                    response = self.shard_call(
-                        shard,
-                        {
-                            "op": "events",
-                            "job": local_id,
-                            "since": since,
-                            "wait": True,
-                            "timeout": 2.0,
-                        },
-                        read_timeout=32.0,
-                    )
-                except (OverloadedError, ServeError):
-                    return  # the shard stayed down past failover; stop quietly
-                if not response.get("ok"):
-                    return
-                events = response.get("events", [])
-                for event in events:
-                    if isinstance(event, dict) and isinstance(event.get("job_id"), str):
-                        event["job_id"] = namespaced
+            try:
+                for events in follow_events(poll, local_id):
                     if stop.is_set():
                         return
-                    session.sink({"type": "event", "job": namespaced, "event": event})
-                since = response.get("next", since + len(events))
-                if not events and response.get("status") in TERMINAL_STATUSES:
-                    return
+                    for event in events:
+                        if isinstance(event, dict) and isinstance(event.get("job_id"), str):
+                            event["job_id"] = namespaced
+                        session.sink({"type": "event", "job": namespaced, "event": event})
+            except (OverloadedError, ServeError):
+                return  # the shard stayed down past failover; stop quietly
 
         threading.Thread(
             target=pump, name=f"repro-router-stream-{namespaced}", daemon=True

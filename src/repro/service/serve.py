@@ -44,18 +44,23 @@ Ops
 ``{"op": "result", "job": "job-1", "wait": true}``
     The job's lossless result: ``"report"``
     (:meth:`~repro.api.report.VerificationReport.to_dict`) for single
-    checks, ``"batch"`` for batch jobs.  Cancelled and failed jobs produce
-    an error response instead.
+    checks, ``"batch"`` (:func:`~repro.engine.batch.batch_result_to_dict`,
+    the journal's shape) for batch jobs.  Cancelled and failed jobs
+    produce an error response instead.
 
 ``{"op": "jobs"}`` / ``{"op": "shutdown"}``
     List every job; end the session.
 
 ``{"op": "stats"}``
-    A snapshot of the serving tier's counters: service statistics (jobs
-    submitted/completed/failed/cancelled/recovered), the pending-queue
-    depth, result-cache traffic, journal statistics, and — over the
-    network tier — the per-server connection/frame/shedding counters
-    (mirrored by ``GET /statsz`` on the HTTP adapter).
+    The serving tier's counters, read from the process's metrics registry
+    (the same series ``GET /metricsz`` renders, so the two always agree):
+    job events (submitted/completed/failed/cancelled/recovered), the
+    pending-queue depth, result-cache traffic (``null`` until a cache is
+    open), journal events (``null`` without a journal), engine events
+    (once an engine exists), and — over the network tier — the
+    connection/frame/shedding counters plus this server's open
+    connections.  Counters are per process: a daemon has one service,
+    server, cache and journal.  ``GET /statsz`` serves the same payload.
 
 ``{"op": "metrics"}``
     The process-global observability-registry snapshot (counters, gauges,
@@ -103,11 +108,16 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.api.jobs import TERMINAL_STATUSES
+from repro.engine.batch import batch_result_to_dict
+from repro.engine.cache import cache_statistics
 from repro.engine.monitor import JobCancelledError
+from repro.engine.scheduler import engine_statistics
 from repro.io.loading import ProtocolLoadError, resolve_protocol_spec
 from repro.io.serialization import protocol_from_dict
 from repro.obs.metrics import REGISTRY, label_snapshot, merge_snapshots
 from repro.service.jobs import JobHandle, JobNotFinished
+from repro.service.journal import journal_statistics
+from repro.service.service import service_statistics
 
 logger = logging.getLogger(__name__)
 
@@ -144,24 +154,6 @@ class OverloadedError(ServeError):
         self.retry_after = retry_after
 
 
-def batch_to_payload(batch) -> dict:
-    """The lossless JSON payload of a :class:`~repro.engine.batch.BatchResult`."""
-    return {
-        "items": [
-            {
-                "protocol": item.protocol_name,
-                "hash": item.protocol_hash,
-                "ok": item.ok,
-                "from_cache": item.from_cache,
-                "time_seconds": item.time_seconds,
-                "report": item.report.to_dict(),
-            }
-            for item in batch
-        ],
-        "statistics": batch.statistics,
-    }
-
-
 def submitted_protocols(request: dict) -> list:
     """The protocols a submit request names, resolved.
 
@@ -183,6 +175,31 @@ def submitted_protocols(request: dict) -> list:
     if not spec:
         raise ServeError("submit needs a 'spec', 'specs' or an inline 'protocol'")
     return [resolve_protocol_spec(spec)]
+
+
+def follow_events(call: Callable[[dict], dict], job: str, since: int = 0, *, follow: bool = True):
+    """Follow one job's event log through the ``events`` op, resumably.
+
+    ``call(request)`` answers one ``events`` request — the local dispatcher,
+    a shard link or a client — and adds what its transport needs (the
+    long-poll ``timeout``).  Yields each answer's events as a list (empty
+    when a long poll ran out), so the caller can check its stop flag or
+    idle deadline between polls.  The first poll drains the backlog without
+    blocking; with ``follow`` the next ones long-poll until the job is
+    finished and its log drained.  A failed answer raises
+    :class:`ServeError`.
+    """
+    request = {"op": "events", "job": job, "since": since}
+    while True:
+        response = call(request)
+        if not response.get("ok"):
+            raise ServeError(response.get("error", "events request failed"))
+        events = response.get("events", [])
+        yield events
+        if not follow or (not events and response.get("status") in TERMINAL_STATUSES):
+            return
+        since = response.get("next", since + len(events))
+        request = {"op": "events", "job": job, "since": since, "wait": True}
 
 
 def _failure(error: Exception) -> dict:
@@ -292,7 +309,7 @@ def _result(session: "ServeSession", request: dict) -> dict:
         raise ServeError(f"job {handle.job_id!r} failed: {error}") from error
     body = {"job": handle.job_id, "status": handle.status().value}
     if handle.kind == "batch":
-        body["batch"] = batch_to_payload(result)
+        body["batch"] = batch_result_to_dict(result)
     else:
         body["report"] = result.to_dict()
     return body
@@ -317,17 +334,17 @@ def _stats(session: "ServeSession", request: dict) -> dict:
 
     service = session.service
     stats = {
-        "service": dict(service.statistics),
+        "service": service_statistics(),
         "pending_jobs": service.pending_count(),
-        "cache": service.cache_statistics(),
-        "journal": dict(service.journal.statistics) if service.journal is not None else None,
-        # Process-wide incremental counters (cut promotion, core
-        # retention) — the router's merge aggregates the per-shard
-        # retention rates from this block.
+        "cache": cache_statistics() if service.verifier.cache is not None else None,
+        "journal": journal_statistics() if service.journal is not None else None,
+        # Incremental counters (cut promotion, core retention) — the
+        # router's merge aggregates the per-shard retention rates from
+        # this block.
         "incremental": incremental_statistics(),
     }
     if service.engine is not None:
-        stats["engine"] = dict(getattr(service.engine, "statistics", {}) or {})
+        stats["engine"] = engine_statistics()
     return {"stats": session.with_server_stats(stats)}
 
 
@@ -404,6 +421,8 @@ def _merge_jobs(session: "ServeSession", gathered: dict) -> dict:
 
 
 def _merge_stats(session: "ServeSession", gathered: dict) -> dict:
+    from repro.service.replicas import supervisor_statistics
+
     router = session.router
     shards = {shard_id: (response or {}).get("stats") for shard_id, response in gathered.items()}
     # Fleet-level view of the incremental-IR counters: the per-shard
@@ -422,8 +441,8 @@ def _merge_stats(session: "ServeSession", gathered: dict) -> dict:
                 totals[counter] = totals.get(counter, 0) + value
     totals.pop("core_retention_rate", None)
     stats = {
-        "router": router.statistics_snapshot(),
-        "supervisor": dict(router.supervisor.statistics),
+        "router": router.statsz_payload(),
+        "supervisor": supervisor_statistics(),
         "fleet": router.supervisor.fleet_status(),
         "shards": shards,
         "incremental": {"core_retention_by_shard": retention, "totals": totals},

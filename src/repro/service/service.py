@@ -41,12 +41,24 @@ from repro.service.jobs import JobHandle
 
 logger = logging.getLogger(__name__)
 
-#: Job-level latency and outcome counters for ``GET /metricsz``; the
-#: per-instance ``statistics`` dict keeps its historical payload shape.
+#: Job-level latency for ``GET /metricsz``, and this process's job events:
+#: the ``service`` block of the ``stats`` op (:func:`service_statistics`).
 _JOB_SECONDS = REGISTRY.histogram(
     "repro_job_seconds",
     "End-to-end verification job latency, by terminal status",
 )
+_EVENTS = REGISTRY.counter(
+    "repro_service_events_total",
+    "Verification-service job events: submitted, finished by status, recovered, resumed",
+)
+
+
+def service_statistics() -> dict:
+    """This process's verification-service job events, by event."""
+    return _EVENTS.counts(
+        ("submitted", "completed", "failed", "cancelled", "subscriber_errors", "recovered", "resumed")
+    )
+
 
 #: Finished jobs (with their event logs) retained for later lookup.  A
 #: long-running serve daemon must not accumulate every job it ever ran:
@@ -120,15 +132,6 @@ class VerificationService:
         self._job_seq = itertools.count(1)
         self._jobs: dict[str, Job] = {}
         self._threads: list[threading.Thread] = []
-        self.statistics = {
-            "submitted": 0,
-            "completed": 0,
-            "failed": 0,
-            "cancelled": 0,
-            "subscriber_errors": 0,
-            "recovered": 0,
-            "resumed": 0,
-        }
         #: Whether dispatcher threads drain the queue after close() (the
         #: default) or leave queued jobs for the journal to resume.
         self._drain_on_close = True
@@ -200,10 +203,6 @@ class VerificationService:
         """The verifier's shared per-protocol analysis context."""
         return self.verifier.analysis_context(protocol)
 
-    def cache_statistics(self) -> dict | None:
-        """A snapshot of the result cache's counters (``None`` if unopened)."""
-        return self.verifier.cache_statistics()
-
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
@@ -254,7 +253,6 @@ class VerificationService:
             if self._closed:
                 raise RuntimeError("this VerificationService is closed")
             self._jobs[job.id] = job
-            self.statistics["submitted"] += 1
         if self.journal is not None:
             # Write-ahead: the submission is durable before the job becomes
             # poppable.  A failing journal fails the submit — accepting a
@@ -265,7 +263,6 @@ class VerificationService:
             except BaseException:
                 with self._lock:
                     self._jobs.pop(job.id, None)
-                    self.statistics["submitted"] -= 1
                 raise
         # The queued event is recorded *before* the job becomes poppable, so
         # every trail starts with job_queued (seq 0) — and subscribers run
@@ -276,8 +273,8 @@ class VerificationService:
             if self._closed:
                 # Closed in the window above: the job can never run.
                 self._jobs.pop(job.id, None)
-                self.statistics["submitted"] -= 1
                 raise RuntimeError("this VerificationService is closed")
+            _EVENTS.inc(event="submitted")
             heapq.heappush(self._queue, (-job.priority, next(self._seq), job))
             self._ensure_workers_locked()
             self._queue_condition.notify()
@@ -343,9 +340,9 @@ class VerificationService:
             JobStatus.CANCELLED: "cancelled",
         }[job.status]
         _JOB_SECONDS.observe(time.perf_counter() - start, status=counter)
+        _EVENTS.inc(event=counter)
         with self._lock:
-            self.statistics[counter] += 1
-            self.statistics["subscriber_errors"] += job.subscriber_errors
+            _EVENTS.inc(job.subscriber_errors, event="subscriber_errors")
             job.subscriber_errors = 0
             self._evict_finished_locked()
 
@@ -509,15 +506,15 @@ class VerificationService:
         job.finish(status, result=result, error=error, error_text=error_text)
         with self._lock:
             self._jobs[job.id] = job
-            self.statistics["recovered"] += 1
+        _EVENTS.inc(event="recovered")
 
     def _resume_unfinished(self, job_id: str, state: dict) -> None:
         """Re-enqueue a journalled job the previous process never finished."""
         job = self._rebuild_job(job_id, state)
         with self._lock:
             self._jobs[job.id] = job
-            self.statistics["submitted"] += 1
-            self.statistics["resumed"] += 1
+        _EVENTS.inc(event="submitted")
+        _EVENTS.inc(event="resumed")
         job.record_event(queued_event(job))
         job.record_event(JobRecovered(job_id=job.id, had_started=bool(state.get("started"))))
         with self._lock:

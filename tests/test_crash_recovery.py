@@ -11,6 +11,13 @@ import sys
 
 from repro.protocols.library import majority_protocol
 from repro.service import JobJournal, ServeSession, VerificationService
+from repro.service.service import service_statistics
+
+
+def _restored(before: dict) -> int:
+    """Jobs recovered or resumed since ``before`` (a service_statistics())."""
+    after = service_statistics()
+    return sum(after[key] - before[key] for key in ("recovered", "resumed"))
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -47,8 +54,9 @@ class TestSigkillRecovery:
         assert proc.returncode != 0
 
         # A restarted service on the same journal finishes the job.
+        before = service_statistics()
         with VerificationService(journal_dir=journal_dir) as service:
-            assert service.statistics["resumed"] + service.statistics["recovered"] == 1
+            assert _restored(before) == 1
             handle = service.job("job-1")
             assert handle.wait(timeout=300)
             assert handle.result().is_ws3
@@ -62,8 +70,9 @@ class TestSigkillRecovery:
         journal = JobJournal(journal_dir)
         with open(journal.path, "a", encoding="utf-8") as handle_:
             handle_.write('{"record": "submitted", "job": "job-2", "ki')  # torn
+        recovered = service_statistics()["recovered"]
         with VerificationService(journal_dir=journal_dir) as service:
-            assert service.statistics["recovered"] == 1
+            assert service_statistics()["recovered"] == recovered + 1
             assert service.job("job-1").status().value == "done"
 
 
@@ -85,11 +94,11 @@ class TestEofLeavesQueueResumable:
         responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
         assert all(r["ok"] for r in responses if r["type"] == "response")
 
+        before = service_statistics()
         with VerificationService(journal_dir=tmp_path) as restarted:
             # Whatever the first session finished was recovered; the rest
             # was resumed, not cancelled — nothing is lost.
-            stats = restarted.statistics
-            assert stats["recovered"] + stats["resumed"] == 2
+            assert _restored(before) == 2
             for job_id in ("job-1", "job-2"):
                 handle = restarted.job(job_id)
                 assert handle.wait(timeout=300)

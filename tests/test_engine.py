@@ -14,14 +14,15 @@ from repro.api import VerificationOptions, VerificationReport
 from repro.datatypes.multiset import Multiset
 from repro.engine import EngineError, Subproblem, VerificationEngine
 from repro.engine.cache import protocol_content_hash
-from repro.engine.subproblem import (
-    KINDS,
-    decode_consensus_counterexample,
+from repro.engine.scheduler import engine_statistics
+from repro.engine.subproblem import KINDS
+from repro.io.serialization import (
+    counterexample_from_dict,
+    counterexample_to_dict,
     decode_partition,
-    encode_consensus_counterexample,
     encode_partition,
+    protocol_to_dict,
 )
-from repro.io.serialization import protocol_to_dict
 from repro.protocols.library import (
     broadcast_protocol,
     coin_flip_protocol,
@@ -85,9 +86,7 @@ class TestEnvelopes:
             flow_true={transition: 2},
             flow_false={},
         )
-        clone = decode_consensus_counterexample(
-            encode_consensus_counterexample(counterexample)
-        )
+        clone = counterexample_from_dict(counterexample_to_dict(counterexample))
         assert clone.initial == counterexample.initial
         assert clone.terminal_true == counterexample.terminal_true
         assert clone.terminal_false == counterexample.terminal_false
@@ -142,13 +141,14 @@ class TestSchedulerParallel:
                 engine.run_wave([poison])
 
     def test_engine_usable_again_after_worker_death(self, majority_protocol):
+        deaths = engine_statistics()["worker_deaths"]
         with VerificationEngine(jobs=2, wave_timeout=60) as engine:
             poison = Subproblem(kind="poison", index=0, protocol_key="k", protocol_data={})
             with pytest.raises(EngineError):
                 engine.run_wave([poison])
             results = engine.run_wave(_check_subproblems(majority_protocol))
             assert results[0].verdict == "holds"
-            assert engine.statistics["worker_deaths"] == 1
+            assert engine_statistics()["worker_deaths"] == deaths + 1
 
     def test_worker_exception_propagates(self):
         with VerificationEngine(jobs=2, wave_timeout=60) as engine:

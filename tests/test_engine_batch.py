@@ -55,7 +55,7 @@ class TestVerifyMany:
     def test_second_run_is_served_from_cache(self, tmp_path):
         protocols = [majority_protocol(), broadcast_protocol()]
         cold = check_many(protocols, cache_dir=str(tmp_path))
-        assert cold.statistics["cache"] == {"hits": 0, "misses": 2, "stores": 2, "corrupt": 0}
+        assert cold.statistics["cache"] == {"hits": 0, "misses": 2, "stores": 2}
         assert not any(item.from_cache for item in cold)
 
         warm = check_many(protocols, cache_dir=str(tmp_path))
@@ -76,7 +76,9 @@ class TestVerifyMany:
         cache = ResultCache(tmp_path)
         check_many([broadcast_protocol()], cache=cache)
         batch = check_many([broadcast_protocol()], cache=cache)
-        assert cache.statistics["hits"] == 1
+        # The batch's own lookups, not the shared cache's lifetime counts
+        # (which include the first batch's miss).
+        assert batch.statistics["cache"] == {"hits": 1, "misses": 0, "stores": 0}
         assert batch.items[0].from_cache
 
 

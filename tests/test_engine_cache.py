@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.engine import ENGINE_VERSION, ResultCache, protocol_content_hash
+from repro.engine.cache import cache_statistics
 from repro.protocols.library import (
     broadcast_protocol,
     coin_flip_protocol,
@@ -92,10 +93,13 @@ class TestResultCache:
     def test_put_get_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         key = ResultCache.entry_key("abc", ENGINE_VERSION, {"check": "ws3"})
+        before = cache_statistics()
         assert cache.get(key) is None
         cache.put(key, {"is_ws3": True})
         assert cache.get(key) == {"is_ws3": True}
-        assert cache.statistics == {"hits": 1, "misses": 1, "stores": 1, "corrupt": 0}
+        after = cache_statistics()
+        delta = {event: after[event] - before[event] for event in after}
+        assert delta == {"hits": 1, "misses": 1, "stores": 1, "corrupt": 0}
 
     def test_engine_version_partitions_the_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -118,8 +122,9 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key = ResultCache.entry_key("abc", "1", {})
         (tmp_path / f"{key}.json").write_text("{not json", encoding="utf-8")
+        corrupt = cache_statistics()["corrupt"]
         assert cache.get(key) is None
-        assert cache.statistics["corrupt"] == 1
+        assert cache_statistics()["corrupt"] == corrupt + 1
         # The corrupt entry is moved aside (kept for postmortems), so the
         # slot is writable again and the next get is a clean miss.
         assert not (tmp_path / f"{key}.json").exists()

@@ -7,6 +7,8 @@ import json
 import pytest
 
 from repro.service import JobJournal, VerificationService
+from repro.service.journal import journal_statistics
+from repro.service.service import service_statistics
 from repro.protocols.library import broadcast_protocol, majority_protocol
 
 
@@ -42,9 +44,10 @@ class TestJobJournal:
         journal.append({"record": "submitted", "job": "job-1", "kind": "check"})
         with open(journal.path, "a", encoding="utf-8") as handle:
             handle.write('{"record": "finished", "job": "job-1", "sta')  # torn mid-append
+        torn = journal_statistics()["torn"]
         states = journal.load()
         assert "finished" not in states["job-1"]
-        assert journal.statistics["torn"] == 1
+        assert journal_statistics()["torn"] == torn + 1
         assert len(journal) == 1
 
     def test_records_for_unknown_jobs_are_dropped(self, tmp_path):
@@ -78,8 +81,9 @@ class TestServiceReplay:
             handle = service.submit(majority_protocol(), ["ws3"])
             assert handle.wait(timeout=300)
             report = handle.result()
+        recovered = service_statistics()["recovered"]
         with VerificationService(journal_dir=tmp_path) as restarted:
-            assert restarted.statistics["recovered"] == 1
+            assert service_statistics()["recovered"] == recovered + 1
             recovered = restarted.job(handle.job_id)
             assert recovered.status().value == "done"
             assert recovered.result().is_ws3 == report.is_ws3
@@ -111,8 +115,9 @@ class TestServiceReplay:
             }
         )
         journal.append({"record": "started", "job": "job-4"})
+        resumed = service_statistics()["resumed"]
         with VerificationService(journal_dir=tmp_path) as service:
-            assert service.statistics["resumed"] == 1
+            assert service_statistics()["resumed"] == resumed + 1
             handle = service.job("job-4")
             assert handle.wait(timeout=300)
             assert handle.result().is_ws3
@@ -138,8 +143,9 @@ class TestServiceReplay:
                 "protocol": protocol_to_dict(majority_protocol()),
             }
         )
+        resumed = service_statistics()["resumed"]
         with VerificationService(journal_dir=tmp_path, resume=False) as service:
-            assert service.statistics["resumed"] == 0
+            assert service_statistics()["resumed"] == resumed
             assert service.pending_count() == 0
             with pytest.raises(KeyError):
                 service.job("job-1")
@@ -204,11 +210,12 @@ class TestCompaction:
         journal = JobJournal(tmp_path)
         self.fill(journal)
         before = journal.load()
+        compacted = journal_statistics()["compacted"]
         result = journal.compact()
         assert journal.load() == before
         assert result["jobs"] == 5
         assert result["after_bytes"] < result["before_bytes"]
-        assert journal.statistics["compacted"] == 1
+        assert journal_statistics()["compacted"] == compacted + 1
 
     def test_compact_drops_superseded_and_torn_lines(self, tmp_path):
         journal = JobJournal(tmp_path)
@@ -240,8 +247,9 @@ class TestCompaction:
         )
         journal.append({"record": "started", "job": "job-1"})
         journal.compact()
+        resumed = service_statistics()["resumed"]
         with VerificationService(journal_dir=tmp_path) as service:
-            assert service.statistics["resumed"] == 1
+            assert service_statistics()["resumed"] == resumed + 1
             handle = service.job("job-1")
             assert handle.wait(timeout=300)
             assert handle.result().is_ws3
@@ -254,9 +262,10 @@ class TestCompaction:
         # default (8 MiB) leaves this small file alone.
         untouched = JobJournal(tmp_path)
         assert untouched.size_bytes() == size
+        compactions = journal_statistics()["compacted"]
         compacted = JobJournal(tmp_path, compact_threshold_bytes=100)
         assert compacted.size_bytes() < size
-        assert compacted.statistics["compacted"] == 1
+        assert journal_statistics()["compacted"] == compactions + 1
         assert compacted.load() == journal.load()
 
     def test_compaction_disabled_with_none(self, tmp_path):

@@ -21,6 +21,7 @@ import time
 import pytest
 
 from repro.service import VerificationService
+from repro.service.service import service_statistics
 from repro.service.client import VerificationClient
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -73,9 +74,11 @@ class TestSigtermDrain:
 
         # Every submitted job either finished before the drain or was left
         # journalled; the next service finishes the rest — zero lost jobs.
+        before = service_statistics()
         with VerificationService(journal_dir=tmp_path / "journal") as service:
-            stats = service.statistics
-            assert stats["recovered"] + stats["resumed"] == len(jobs)
+            after = service_statistics()
+            restored = sum(after[key] - before[key] for key in ("recovered", "resumed"))
+            assert restored == len(jobs)
             for job_id in jobs:
                 handle = service.job(job_id)
                 assert handle.wait(timeout=300)

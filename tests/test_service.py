@@ -23,6 +23,7 @@ from repro.engine.monitor import JobCancelledError
 from repro.protocols.library import broadcast_protocol, majority_protocol, remainder_protocol
 from repro.service import JobNotFinished, JobStatus, VerificationService
 from repro.service.events import JobFinished, JobQueued, event_from_dict
+from repro.service.service import service_statistics
 
 VOLATILE_KEYS = {"time", "timestamp", "events", "time_seconds", "worker_pid", "seq"}
 
@@ -153,11 +154,12 @@ class TestJobLifecycle:
         def explode(event):
             raise RuntimeError("subscriber bug")
 
+        errors = service_statistics()["subscriber_errors"]
         with VerificationService() as service:
             handle = service.submit(broadcast_protocol(), subscriber=explode)
             handle.wait(timeout=120)
             assert handle.result().ok
-        assert service.statistics["subscriber_errors"] > 0
+        assert service_statistics()["subscriber_errors"] > errors
 
     def test_job_lookup_by_id(self):
         with VerificationService() as service:
@@ -304,6 +306,7 @@ class TestBatchJobs:
 
 class TestConcurrentWorkers:
     def test_two_workers_share_one_service(self):
+        completed = service_statistics()["completed"]
         with VerificationService(workers=2) as service:
             handles = [
                 service.submit(majority_protocol(), properties=["layered_termination"]),
@@ -313,7 +316,7 @@ class TestConcurrentWorkers:
             for handle in handles:
                 assert handle.wait(timeout=240)
                 assert handle.result().ok
-        assert service.statistics["completed"] == 3
+        assert service_statistics()["completed"] == completed + 3
 
 
 class TestVerifierServiceSurface:
